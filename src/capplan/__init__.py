@@ -25,7 +25,6 @@ from .synonymy import (
     SynonymyIndex,
     build_index,
     effect_sets,
-    synonymous_capabilities,
     synonymous_products,
     synonymous_properties,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "serialize_model",
     "simulate",
     "solve",
-    "synonymous_capabilities",
     "synonymous_products",
     "synonymous_properties",
     "validate",

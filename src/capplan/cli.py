@@ -1,4 +1,4 @@
-"""Command-line interface: plan, dump-smt, validate, check, explain-synonymy.
+"""Command-line interface: plan, dump-smt, validate, check.
 
 Exit codes: 0 success / plan found, 1 diagnostics or plan violations,
 2 no plan within the bound, 3 solver or infrastructure error, 64 usage,
@@ -196,21 +196,6 @@ def _cmd_dump_smt(args) -> int:
     return 0
 
 
-def _synonymy_document(model) -> dict:
-    index = build_index(model)
-    return {
-        "classes": [
-            {
-                "classId": cls.class_id,
-                "members": list(cls.member_ids),
-                "typeDescription": cls.type_description_id,
-                "datatype": cls.datatype.value,
-            }
-            for cls in index.classes
-        ]
-    }
-
-
 def _cmd_validate(args) -> int:
     model = _load(args)
     diagnostics = validate(model)
@@ -221,7 +206,15 @@ def _cmd_validate(args) -> int:
         ]
     }
     if args.explain_synonymy:
-        document.update(_synonymy_document(model))
+        document["classes"] = [
+            {
+                "classId": cls.class_id,
+                "members": list(cls.member_ids),
+                "typeDescription": cls.type_description_id,
+                "datatype": cls.datatype.value,
+            }
+            for cls in build_index(model).classes
+        ]
     _emit_output(args, document)
     return 1 if diagnostics else 0
 
@@ -242,12 +235,6 @@ def _cmd_check(args) -> int:
     }
     _emit_output(args, document)
     return 0 if verdict.ok else 1
-
-
-def _cmd_explain_synonymy(args) -> int:
-    model = _load(args)
-    _emit_output(args, _synonymy_document(model))
-    return 0
 
 
 def _add_model_arguments(parser, with_model_alias=False):
@@ -300,10 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(p, with_model_alias=True)
     p.add_argument("--plan", required=True, help="plan document to check")
     p.set_defaults(func=_cmd_check)
-
-    p = commands.add_parser("explain-synonymy", help="print the synonymy partition")
-    _add_model_arguments(p, with_model_alias=True)
-    p.set_defaults(func=_cmd_explain_synonymy)
 
     return parser
 

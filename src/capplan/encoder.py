@@ -7,6 +7,10 @@ afterwards.  The encoding for bound n declares variables for happenings
 capability preconditions/effects/constraints, layer frame axioms, mutexes
 and cross-happening continuation.
 
+Only the goal side (the goal family, plus the goal alignment in expanded
+mode) moves with the bound; it is marked retractable.  Every other
+assertion reads the same at every larger bound.
+
 By default one SMT variable is created per synonymy class, which makes
 synonym propagation and boundary alignment hold by construction.  The
 expanded mode keeps one variable per property and emits the propagation
@@ -53,6 +57,8 @@ class Assertion:
     family: str
     element_id: str
     t: Optional[int] = None
+    # Holds only at this encoding's bound and is retracted before the next.
+    retractable: bool = False
 
 
 @dataclass
@@ -155,9 +161,11 @@ class _Builder:
         return ex.ref(VariableKey("cap", capability_id, t).symbol)
 
     def emit(self, term: ex.Expression, family: str, element_id: str,
-             t: Optional[int], *name_parts) -> None:
+             t: Optional[int], *name_parts, retractable: bool = False) -> None:
         name = self.names.make(*name_parts)
-        self.assertions.append(Assertion(name, term, family, element_id, t))
+        self.assertions.append(
+            Assertion(name, term, family, element_id, t, retractable)
+        )
 
     # -- term construction -------------------------------------------------
 
@@ -228,7 +236,7 @@ class _Builder:
                     continue
                 self.emit(
                     self.desugar(prop, desc, n, 1),
-                    "goal", prop.id, n, "goal", prop.id,
+                    "goal", prop.id, n, "goal", prop.id, retractable=True,
                 )
         for i, constraint in enumerate(required.constraints):
             refs = ex.references(constraint)
@@ -236,7 +244,7 @@ class _Builder:
                 continue
             term = self.translate_constraint(constraint, required, 0, 0, n, 1)
             self.emit(term, "goal", required.id, n,
-                      "goal.constraint", required.id, i)
+                      "goal.constraint", required.id, i, retractable=True)
 
         if self.expanded:
             self._assert_alignment()
@@ -261,7 +269,8 @@ class _Builder:
                 term = ex.apply_op(
                     "eq", self.state_ref(pid, n, 1), self.state_ref(syn, n, 1)
                 )
-                self.emit(term, "align", pid, n, "align.goal", pid, syn)
+                self.emit(term, "align", pid, n, "align.goal", pid, syn,
+                          retractable=True)
 
     def assert_capability_semantics(self, t: int) -> None:
         for cap in sorted(self.model.provided, key=lambda c: c.id):

@@ -141,17 +141,11 @@ class CapabilityModel:
     def all_properties(self) -> tuple:
         return tuple(self.properties.values())
 
-    def property(self, property_id: str) -> Property:
-        return self.properties[property_id]
-
     def entity(self, entity_id: str):
         for registry in (self.products, self.resources, self.information):
             if entity_id in registry:
                 return registry[entity_id]
         raise KeyError(entity_id)
-
-    def carrier_of(self, property_id: str):
-        return self.entity(self.properties[property_id].carrier_id)
 
     def capabilities(self) -> tuple:
         return self.provided + (self.required,)

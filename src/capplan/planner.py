@@ -1,10 +1,18 @@
 """Iterative-deepening planning loop, plan extraction and explanations.
 
-The loop encodes the problem for bound k = 0, 1, ... and stops at the
+One loop encodes the problem for bound k = 0, 1, ... and stops at the
 first satisfiable bound, so a returned plan always uses the smallest
 possible number of happenings (bound k means k+1 happenings; the empty
-plan lives at bound 0).  When every bound fails, the last unsat core is
-kept so the failure can be mapped back to model elements.
+plan lives at bound 0).  Each bound yields one SolveOutcome; a bound the
+solver cannot decide, a timeout included, is recorded as unknown and the
+loop goes on.  When every bound fails, the last unsat core is kept so the
+failure can be mapped back to model elements.
+
+Only where a bound's outcome comes from depends on the mode.  One-shot
+mode runs a fresh solver process over the emitted script.  Incremental
+mode keeps one process across bounds: it sends each declaration and
+stable assertion once, and asserts the encoding's retractable (goal-side)
+assertions under push/pop.
 """
 
 from __future__ import annotations
@@ -15,14 +23,17 @@ from typing import Optional, Union
 from . import expr as ex
 from .encoder import Encoding, VariableKey, build
 from .errors import CoresUnavailable, IncompleteModel, InvalidModel
-from .model import CapabilityModel, Datatype, validate
+from .model import CapabilityModel, validate
 from .smtlib import (
     SmtProcess,
+    SolveOutcome,
     SolverConfig,
     _render_term,
+    assertion_line,
+    declaration,
     emit,
-    format_symbol,
     minimize_core,
+    script_header,
     solve,
 )
 from .synonymy import build_index
@@ -93,36 +104,33 @@ def plan(model: CapabilityModel, max_happenings: int,
     if max_happenings < 0:
         raise ValueError("max_happenings must be >= 0")
     index = build_index(model)
-    if config.incremental:
-        outcome = _plan_incremental(model, index, max_happenings, config)
-    else:
-        outcome = _plan_oneshot(model, index, max_happenings, config)
-    if isinstance(outcome, NoPlanFound) and config.minimize and outcome.last_core:
-        outcome.last_core = minimize_core(
-            outcome.last_encoding, outcome.last_core, config.solver
-        )
-    return outcome
-
-
-def _plan_oneshot(model, index, max_happenings, config):
+    solver = config.solver
+    session = _Incremental(solver) if config.incremental else None
     outcomes = []
     last_core = None
     last_encoding = None
-    for bound in range(max_happenings + 1):
-        encoding = build(model, index, bound, expanded=config.expanded)
-        text = emit(
-            encoding,
-            produce_cores=config.solver.produce_unsat_cores,
-            random_seed=config.solver.random_seed,
-        )
-        result = solve(text, config.solver)
-        if result.is_sat:
-            return extract_plan(encoding, result.valuation)
-        core = tuple(result.core) if result.core else None
-        outcomes.append(BoundOutcome(bound, result.status, result.reason, core))
-        if result.is_unsat:
-            last_core = list(result.core) if result.core else None
-            last_encoding = encoding
+    try:
+        for bound in range(max_happenings + 1):
+            encoding = build(model, index, bound, expanded=config.expanded)
+            if session is None:
+                text = emit(encoding, produce_cores=solver.produce_unsat_cores,
+                            random_seed=solver.random_seed)
+                result = solve(text, solver)
+            else:
+                result = session.solve(encoding)
+            if result.is_sat:
+                return extract_plan(encoding, result.valuation)
+            core = list(result.core) if result.core else None
+            outcomes.append(BoundOutcome(bound, result.status, result.reason,
+                                         tuple(core) if core else None))
+            if result.is_unsat:
+                last_core = core
+                last_encoding = encoding
+    finally:
+        if session is not None:
+            session.close()
+    if config.minimize and last_core:
+        last_core = minimize_core(last_encoding, last_core, solver)
     return NoPlanFound(
         outcomes=tuple(outcomes),
         all_unsat=all(o.status == "unsat" for o in outcomes),
@@ -131,84 +139,52 @@ def _plan_oneshot(model, index, max_happenings, config):
     )
 
 
-def _is_pushed(assertion) -> bool:
-    # Goal-side assertions move with the bound; everything else is stable
-    # once its happening exists.
-    return assertion.family == "goal" or assertion.name.startswith("align.goal")
+class _Incremental:
+    """One solver process reused across bounds.
 
+    A process is sent each declaration and stable assertion once; a
+    bound's retractable assertions go under (push 1) and are popped before
+    the next bound.  After a timeout the process is gone (SmtProcess
+    kills it) and the next bound starts a fresh one.
+    """
 
-def _plan_incremental(model, index, max_happenings, config):
-    """One persistent solver process; each bound adds the new happening's
-    declarations and assertions, and re-pins the goal under push/pop."""
-    outcomes = []
-    last_core = None
-    last_encoding = None
-    process = SmtProcess(config.solver)
-    sent_symbols: set = set()
-    sent_names: set = set()
-    try:
-        header = ["(set-option :produce-models true)"]
-        if config.solver.produce_unsat_cores:
-            header.append("(set-option :produce-unsat-cores true)")
-        process.send("\n".join(header) + "\n")
-        for bound in range(max_happenings + 1):
-            encoding = build(model, index, bound, expanded=config.expanded)
-            if bound == 0:
-                process.send(f"(set-logic {encoding.logic})\n")
-            lines = []
-            for symbol, key in encoding.variables.items():
-                if symbol in sent_symbols:
-                    continue
-                sent_symbols.add(symbol)
-                sort = "Bool" if key.sort is Datatype.BOOLEAN else "Real"
-                lines.append(f"(declare-const {format_symbol(symbol)} {sort})")
-            static, pushed = [], []
-            for assertion in encoding.assertions:
-                (pushed if _is_pushed(assertion) else static).append(assertion)
-            for assertion in static:
-                if assertion.name in sent_names:
-                    continue
-                sent_names.add(assertion.name)
-                lines.append(_assert_line(assertion, config))
-            lines.append("(push 1)")
-            for assertion in pushed:
-                lines.append(_assert_line(assertion, config))
-            process.send("\n".join(lines) + "\n")
-            try:
-                status = process.check_sat()
-            except TimeoutError:
-                # A wedged process cannot be reused; redo everything with
-                # independent one-shot solves, which map timeouts to
-                # Unknown per bound instead.
-                process.close()
-                return _plan_oneshot(model, index, max_happenings, config)
-            if status == "sat":
-                valuation = process.get_model()
-                return extract_plan(encoding, valuation)
-            core = None
-            if status == "unsat" and config.solver.produce_unsat_cores:
-                core = process.get_unsat_core()
-                last_core = core
-                last_encoding = encoding
-            outcomes.append(
-                BoundOutcome(bound, status, None, tuple(core) if core else None)
-            )
-            process.send("(pop 1)\n")
-        return NoPlanFound(
-            outcomes=tuple(outcomes),
-            all_unsat=all(o.status == "unsat" for o in outcomes),
-            last_core=last_core,
-            last_encoding=last_encoding,
-        )
-    finally:
-        process.close()
+    def __init__(self, solver: SolverConfig):
+        self.solver = solver
+        self.process: Optional[SmtProcess] = None
+        self.declared: set = set()
+        self.asserted: set = set()
 
+    def solve(self, encoding: Encoding) -> SolveOutcome:
+        if self.process is None or self.process.closed:
+            self.process = SmtProcess(self.solver)
+            self.declared, self.asserted = set(), set()
+            lines = script_header(encoding.logic, produce_models=True,
+                                  produce_cores=self.solver.produce_unsat_cores,
+                                  random_seed=self.solver.random_seed)
+        else:
+            lines = ["(pop 1)"]
+        for symbol, key in encoding.variables.items():
+            if symbol not in self.declared:
+                self.declared.add(symbol)
+                lines.append(declaration(symbol, key))
+        goal = []
+        for assertion in encoding.assertions:
+            if assertion.retractable:
+                goal.append(self._line(assertion))
+            elif assertion.name not in self.asserted:
+                self.asserted.add(assertion.name)
+                lines.append(self._line(assertion))
+        lines.append("(push 1)")
+        lines += goal
+        return self.process.exchange("\n".join(lines) + "\n")
 
-def _assert_line(assertion, config) -> str:
-    body = _render_term(assertion.term)
-    if config.solver.produce_unsat_cores:
-        return f"(assert (! {body} :named {format_symbol(assertion.name)}))"
-    return f"(assert {body})"
+    def _line(self, assertion) -> str:
+        return assertion_line(assertion.name, _render_term(assertion.term),
+                              self.solver.produce_unsat_cores)
+
+    def close(self) -> None:
+        if self.process is not None:
+            self.process.close()
 
 
 def extract_plan(encoding: Encoding, valuation: dict) -> Plan:

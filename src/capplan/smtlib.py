@@ -2,13 +2,15 @@
 
 The encoding is rendered to plain SMT-LIB2 text, piped to any solver
 executable on its standard input, and the answer (sat + model, unsat +
-core, unknown) is parsed back.  Values are kept as exact rationals
-throughout, so a model can be rechecked against the oracle without float
-drift.
+core, unknown) is parsed back: by solve(), one process per script, or
+by SmtProcess, one process for push/pop solving.  Values are kept as
+exact rationals throughout, so a model can be rechecked against the
+oracle without float drift.
 """
 
 from __future__ import annotations
 
+import select
 import shlex
 import subprocess
 import time
@@ -37,6 +39,10 @@ _SMT_OPS = {
     "not": "not",
     "implies": "=>",
 }
+
+# Reasons recorded with an unknown outcome.
+SOLVER_UNKNOWN = "solver returned unknown"
+TIMEOUT = "timeout"
 
 _SIMPLE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
               "~!@$%^&*_-+=<>.?/")
@@ -112,30 +118,46 @@ def _render_term(term) -> str:
     return f"({op} {args})"
 
 
+def script_header(logic: str, produce_models: bool, produce_cores: bool,
+                  random_seed: Optional[int]) -> list:
+    """The option lines and set-logic that open every script, one-shot or
+    incremental."""
+    lines = []
+    if produce_models:
+        lines.append("(set-option :produce-models true)")
+    if produce_cores:
+        lines.append("(set-option :produce-unsat-cores true)")
+    if random_seed is not None:
+        lines.append(f"(set-option :random-seed {random_seed})")
+    lines.append(f"(set-logic {logic})")
+    return lines
+
+
+def declaration(symbol: str, key) -> str:
+    sort = "Bool" if key.sort is Datatype.BOOLEAN else "Real"
+    return f"(declare-const {format_symbol(symbol)} {sort})"
+
+
+def assertion_line(name: str, body: str, named: bool) -> str:
+    """An assert command; named assertions can appear in unsat cores."""
+    if named:
+        return f"(assert (! {body} :named {format_symbol(name)}))"
+    return f"(assert {body})"
+
+
 def emit(encoding: Encoding, produce_cores: bool = True,
          random_seed: Optional[int] = None) -> str:
     """Render the encoding as a self-contained SMT-LIB2 script.
 
     Byte-deterministic: the same encoding always yields the same text.
     """
-    lines = []
     has_vars = bool(encoding.variables)
-    if has_vars:
-        lines.append("(set-option :produce-models true)")
-    if produce_cores:
-        lines.append("(set-option :produce-unsat-cores true)")
-    if random_seed is not None:
-        lines.append(f"(set-option :random-seed {random_seed})")
-    lines.append(f"(set-logic {encoding.logic})")
-    for symbol, key in encoding.variables.items():
-        sort = "Bool" if key.sort is Datatype.BOOLEAN else "Real"
-        lines.append(f"(declare-const {format_symbol(symbol)} {sort})")
-    for assertion in encoding.assertions:
-        body = _render_term(assertion.term)
-        if produce_cores:
-            lines.append(f"(assert (! {body} :named {format_symbol(assertion.name)}))")
-        else:
-            lines.append(f"(assert {body})")
+    lines = script_header(encoding.logic, has_vars, produce_cores, random_seed)
+    lines += [declaration(symbol, key) for symbol, key in encoding.variables.items()]
+    lines += [
+        assertion_line(a.name, _render_term(a.term), produce_cores)
+        for a in encoding.assertions
+    ]
     lines.append("(check-sat)")
     if has_vars:
         lines.append("(get-model)")
@@ -267,22 +289,25 @@ def parse_answer(text: str, expect_core: bool) -> SolveOutcome:
                     core = [unquote(x) for x in node]
                     break
         return SolveOutcome(status="unsat", core=core)
-    return SolveOutcome(status="unknown", reason="solver returned unknown")
+    return SolveOutcome(status="unknown", reason=SOLVER_UNKNOWN)
 
 
-def _write_transcript(config: SolverConfig, request: str, response: str) -> None:
+def _write_transcript(config: SolverConfig, kind: str, text: str,
+                      header: bool = True) -> None:
+    """Append a request verbatim, or a response as `; ` comment lines, so
+    the transcript replays as a script.  Written as the exchange happens:
+    a run that hangs or crashes still leaves what was sent."""
     if config.transcript is None:
         return
+    if kind == "response":
+        text = "".join(f"; {line}\n" for line in text.splitlines())
     with open(config.transcript, "a", encoding="utf-8") as handle:
-        handle.write("; --- request ---\n")
-        handle.write(request)
-        handle.write("; --- response ---\n")
-        for line in response.splitlines():
-            handle.write(f"; {line}\n")
+        handle.write((f"; --- {kind} ---\n" if header else "") + text)
 
 
 def solve(text: str, config: SolverConfig) -> SolveOutcome:
     """Run one solver process over the script and parse its answer."""
+    _write_transcript(config, "request", text)
     try:
         completed = subprocess.run(
             config.argv(),
@@ -293,10 +318,10 @@ def solve(text: str, config: SolverConfig) -> SolveOutcome:
     except (FileNotFoundError, PermissionError) as exc:
         raise SolverLaunchError(f"cannot launch solver {config.argv()!r}: {exc}") from exc
     except subprocess.TimeoutExpired:
-        _write_transcript(config, text, "; timeout")
-        return SolveOutcome(status="unknown", reason="timeout")
+        _write_transcript(config, "response", "; timeout")
+        return SolveOutcome(status="unknown", reason=TIMEOUT)
     stdout = completed.stdout.decode("utf-8", errors="replace")
-    _write_transcript(config, text, stdout)
+    _write_transcript(config, "response", stdout)
     if not stdout.strip():
         stderr = completed.stderr.decode("utf-8", errors="replace")
         raise SolverProtocolError(
@@ -325,12 +350,20 @@ def minimize_core(encoding: Encoding, core: list, config: SolverConfig) -> list:
     return sorted(kept, key=lambda n: order[n])
 
 
+def _status_line(buffer: str) -> Optional[str]:
+    """The first complete line of a check-sat answer that is not an
+    (error ...) line, as parse_answer skips them; None until one arrives."""
+    lines = (line.strip() for line in buffer[: buffer.rfind("\n") + 1].splitlines())
+    return next((line for line in lines if line and not line.startswith("(error")), None)
+
+
 class SmtProcess:
     """A persistent solver process for incremental (push/pop) solving."""
 
     def __init__(self, config: SolverConfig):
         self.config = config
-        self._log: list = []
+        self._last_logged = None
+        self._deadline = None  # end of the current exchange, if any
         try:
             self.proc = subprocess.Popen(
                 config.argv(),
@@ -343,37 +376,42 @@ class SmtProcess:
                 f"cannot launch solver {config.argv()!r}: {exc}"
             ) from exc
 
+    def _log(self, kind: str, text: str) -> None:
+        _write_transcript(self.config, kind, text, header=kind != self._last_logged)
+        self._last_logged = kind
+
     def send(self, text: str) -> None:
-        if self.proc.stdin is None:
-            raise SolverProtocolError("solver stdin closed")
-        self._log.append(text)
-        self.proc.stdin.write(text.encode("utf-8"))
-        self.proc.stdin.flush()
+        self._log("request", text)
+        try:
+            self.proc.stdin.write(text.encode("utf-8"))
+            self.proc.stdin.flush()
+        except BrokenPipeError as exc:
+            raise SolverProtocolError("solver closed its input") from exc
 
     def _read_until(self, done) -> str:
-        """Read stdout until `done(buffer)` returns true or timeout."""
-        import select
-
-        deadline = time.monotonic() + self.config.timeout_seconds
+        """Read stdout until `done(buffer)` holds or the timeout passes.
+        What was read goes to the transcript, with the error if any."""
+        deadline = self._deadline or time.monotonic() + self.config.timeout_seconds
         buffer = ""
         stream = self.proc.stdout
-        while True:
-            if done(buffer):
-                return buffer
+        error = None
+        while error is None and not done(buffer):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise TimeoutError("solver response timeout")
-            ready, _, _ = select.select([stream], [], [], min(remaining, 0.5))
-            if not ready:
-                if self.proc.poll() is not None and not done(buffer):
-                    raise SolverProtocolError("solver exited mid-response")
-                continue
-            chunk = stream.read1(65536)
-            if not chunk:
-                if done(buffer):
-                    return buffer
-                raise SolverProtocolError("solver closed its output")
-            buffer += chunk.decode("utf-8", errors="replace")
+                error = TimeoutError("solver response timeout")
+            elif not select.select([stream], [], [], min(remaining, 0.5))[0]:
+                if self.proc.poll() is not None:
+                    error = SolverProtocolError("solver exited mid-response")
+            else:
+                chunk = stream.read1(65536)
+                if not chunk:
+                    error = SolverProtocolError("solver closed its output")
+                buffer += chunk.decode("utf-8", errors="replace")
+        if error is not None:
+            self._log("response", f"{buffer.rstrip()}\n; {error}".lstrip())
+            raise error
+        self._log("response", buffer)
+        return buffer
 
     @staticmethod
     def _balanced(buffer: str) -> bool:
@@ -393,9 +431,7 @@ class SmtProcess:
 
     def check_sat(self) -> str:
         self.send("(check-sat)\n")
-        answer = self._read_until(lambda b: b.strip() != "" and "\n" in b)
-        self._log.append(answer)
-        status = answer.strip().splitlines()[0].strip()
+        status = _status_line(self._read_until(_status_line))
         if status not in ("sat", "unsat", "unknown"):
             raise SolverProtocolError(f"unexpected check-sat answer {status!r}")
         return status
@@ -403,7 +439,6 @@ class SmtProcess:
     def get_model(self) -> dict:
         self.send("(get-model)\n")
         answer = self._read_until(self._balanced)
-        self._log.append(answer)
         valuation: dict = {}
         for node in parse_sexprs(answer):
             _collect_define_funs(node, valuation)
@@ -412,7 +447,6 @@ class SmtProcess:
     def get_unsat_core(self) -> Optional[list]:
         self.send("(get-unsat-core)\n")
         answer = self._read_until(self._balanced)
-        self._log.append(answer)
         for node in parse_sexprs(answer):
             if isinstance(node, list) and node[:1] == ["error"]:
                 return None
@@ -420,13 +454,38 @@ class SmtProcess:
                 return [unquote(x) for x in node]
         return None
 
-    def close(self) -> None:
+    def exchange(self, text: str) -> SolveOutcome:
+        """One bound's round trip: send `text`, check-sat, then fetch the
+        model or the core.  As in one-shot solving, the timeout covers the
+        whole round trip; when it passes, the outcome is unknown and the
+        wedged process is killed (`closed` turns true)."""
+        self._deadline = time.monotonic() + self.config.timeout_seconds
         try:
-            if self.proc.stdin is not None:
-                self.proc.stdin.close()
-            self.proc.wait(timeout=2)
-        except Exception:
+            self.send(text)
+            status = self.check_sat()
+            if status == "sat":
+                return SolveOutcome(status="sat", valuation=self.get_model())
+            if status == "unsat":
+                core = self.get_unsat_core() if self.config.produce_unsat_cores else None
+                return SolveOutcome(status="unsat", core=core)
+            return SolveOutcome(status="unknown", reason=SOLVER_UNKNOWN)
+        except TimeoutError:
+            self.close(grace=0)
+            return SolveOutcome(status="unknown", reason=TIMEOUT)
+        finally:
+            self._deadline = None
+
+    @property
+    def closed(self) -> bool:
+        return self.proc.stdin.closed
+
+    def close(self, grace: float = 2.0) -> None:
+        """Close the solver's input and give it `grace` seconds to exit
+        before killing it.  Closing twice is harmless."""
+        try:
+            self.proc.stdin.close()
+            self.proc.wait(timeout=grace)
+        except (OSError, subprocess.TimeoutExpired):
             self.proc.kill()
-        if self.config.transcript is not None:
-            with open(self.config.transcript, "a", encoding="utf-8") as handle:
-                handle.write("".join(self._log))
+            self.proc.wait()
+        self.proc.stdout.close()

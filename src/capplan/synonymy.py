@@ -45,8 +45,6 @@ class EffectSets:
     positive: frozenset
     negative: frozenset
     numeric: frozenset
-    # Boolean outputs whose assurance just restates the previous value.
-    remain_same: frozenset
 
 
 @dataclass
@@ -54,17 +52,16 @@ class SynonymyIndex:
     classes: tuple
     class_of: dict
     syn_props: dict
-    syn_caps: dict
     effects: dict
 
     def class_id(self, property_id: str) -> str:
         return self.class_of[property_id].class_id
 
     def members(self, class_id: str) -> tuple:
-        for cls in self.classes:
-            if cls.class_id == class_id:
-                return cls.member_ids
-        raise KeyError(class_id)
+        cls = self.class_of[class_id]
+        if cls.class_id != class_id:
+            raise KeyError(class_id)
+        return cls.member_ids
 
 
 def synonymous_products(model: CapabilityModel) -> list:
@@ -120,29 +117,11 @@ def synonymous_properties(model: CapabilityModel) -> SynonymyIndex:
         classes=tuple(classes),
         class_of=class_of,
         syn_props=syn_props,
-        syn_caps={},
         effects={},
     )
     for cap in model.provided:
         index.effects[cap.id] = effect_sets(model, cap)
-    index.syn_caps = synonymous_capabilities(index, model)
     return index
-
-
-def synonymous_capabilities(index: SynonymyIndex, model: CapabilityModel) -> dict:
-    """For each property, the provided capabilities it is not directly
-    attached to but that touch one of its synonyms."""
-    syn_caps: dict = {}
-    for prop in model.all_properties():
-        related = set()
-        for cap in model.provided:
-            attached = cap.attached_property_ids()
-            if prop.id in attached:
-                continue
-            if index.syn_props[prop.id] & attached:
-                related.add(cap.id)
-        syn_caps[prop.id] = frozenset(related)
-    return syn_caps
 
 
 def effect_sets(model: CapabilityModel, cap: Capability) -> EffectSets:
@@ -166,7 +145,6 @@ def effect_sets(model: CapabilityModel, cap: Capability) -> EffectSets:
     positive: set = set()
     negative: set = set()
     numeric: set = set()
-    remain_same: set = set()
     for pid in outputs:
         prop = model.properties[pid]
         assurances = prop.assurances()
@@ -177,9 +155,7 @@ def effect_sets(model: CapabilityModel, cap: Capability) -> EffectSets:
             numeric.add(pid)
             continue
         for desc in assurances:
-            if desc.value is None:
-                remain_same.add(pid)
-            elif desc.relation in (Relation.EQ, Relation.NEQ):
+            if desc.value is not None and desc.relation in (Relation.EQ, Relation.NEQ):
                 asserted_true = bool(desc.value) == (desc.relation is Relation.EQ)
                 (positive if asserted_true else negative).add(pid)
 
@@ -188,7 +164,6 @@ def effect_sets(model: CapabilityModel, cap: Capability) -> EffectSets:
         positive=frozenset(positive),
         negative=frozenset(negative),
         numeric=frozenset(numeric),
-        remain_same=frozenset(remain_same),
     )
 
 

@@ -151,12 +151,6 @@ def test_validate_explain_synonymy(docs, capsys):
     ]
 
 
-def test_explain_synonymy_subcommand(docs, capsys):
-    code, out, _ = run(["explain-synonymy", "--model", docs["single"]], capsys)
-    assert code == 0
-    assert "classes" in json.loads(out)
-
-
 def test_check_reports_violations(docs, capsys, tmp_path):
     bad_plan = {
         "boundHappenings": 1,

@@ -388,3 +388,20 @@ def test_negative_bound_rejected():
     model = fixtures.transport_model()
     with pytest.raises(ValueError):
         build(model, build_index(model), -1)
+
+
+def test_retractable_assertions_are_the_goal_side():
+    # Incremental solving asserts every other assertion once and keeps it
+    # for all larger bounds, so those must be re-encoded unchanged.
+    models = [fixtures.transport_model(), fixtures.drive_transport_model()]
+    models += [fixtures.random_model(seed) for seed in range(10)]
+    for model in models:
+        index = build_index(model)
+        for expanded in (False, True):
+            encodings = [build(model, index, n, expanded) for n in range(3)]
+            for smaller, larger in zip(encodings, encodings[1:]):
+                for a in smaller.assertions:
+                    goal_side = a.family == "goal" or a.name.startswith("align.goal")
+                    assert a.retractable == goal_side, a.name
+                    if not a.retractable:
+                        assert larger.by_name[a.name] == a

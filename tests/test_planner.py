@@ -1,4 +1,6 @@
+import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -178,15 +180,96 @@ def test_extract_plan_reports_all_layers():
     )
 
 
-def test_unknown_outcomes_do_not_abort_the_loop():
-    answers = "import sys; sys.stdin.read(); print('unknown')"
-    config = _config()
-    config.solver = SolverConfig(command=[sys.executable, "-c", answers])
-    model = fixtures.transport_model()
-    result = plan(model, 2, config)
+# A fake solver that answers each command it recognises on its own line,
+# after `delay` seconds (None: hang), and ignores the rest, so it serves
+# both modes.
+FAKE_SOLVER = """
+import sys, time
+answers = {answers!r}
+for line in sys.stdin:
+    answer = answers.get(line.strip(), "")
+    if answer is None:
+        time.sleep(60)
+    if answer:
+        time.sleep({delay})
+        print(answer, flush=True)
+"""
+
+FAULTS = {
+    "unknown": ({"(check-sat)": "unknown"}, 0, "solver returned unknown"),
+    "error-then-unknown": ({"(check-sat)": '(error "line 9: no")\nunknown'}, 0,
+                           "solver returned unknown"),
+    "hang-on-get-model": ({"(check-sat)": "sat", "(get-model)": None}, 0,
+                          "timeout"),
+    "hang-on-check-sat": ({"(check-sat)": None}, 0, "timeout"),
+    # Each answer alone fits the timeout; the bound's round trip does not.
+    "slow-answers": ({"(check-sat)": "sat", "(get-model)": "(model)"}, 0.3,
+                     "timeout"),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("incremental", (False, True), ids=("oneshot", "incremental"))
+def test_unknown_outcomes_do_not_abort_the_loop(fault, incremental, tmp_path):
+    answers, delay, reason = FAULTS[fault]
+    timeout = 0.5
+    transcript = tmp_path / "transcript.smt2"
+    config = _config(incremental=incremental)
+    config.solver = SolverConfig(
+        command=[sys.executable, "-c",
+                 FAKE_SOLVER.format(answers=answers, delay=delay)],
+        timeout_seconds=timeout,
+        transcript=transcript,
+    )
+    started = time.monotonic()
+    result = plan(fixtures.transport_model(), 2, config)
+    elapsed = time.monotonic() - started
     assert isinstance(result, NoPlanFound)
     assert not result.all_unsat
-    assert [o.status for o in result.outcomes] == ["unknown"] * 3
+    assert [(o.status, o.reason) for o in result.outcomes] == [("unknown", reason)] * 3
+    assert elapsed < 3 * timeout + 1
+    # The transcript is written as the run goes, so even a hung solver
+    # leaves every bound's request behind.
+    assert transcript.read_text().count("(check-sat)") == 3
+
+
+def test_division_by_zero_gives_the_same_outcomes_in_both_modes():
+    # The reference solver rejects the constraint with an (error ...) line
+    # and answers unknown, which neither mode may take for a crash.
+    doc = fixtures.transport_single_doc()
+    doc["capabilities"][0]["constraints"][1] = {"apply": "eq", "args": [
+        {"ref": "ProductPositionAfter"},
+        {"apply": "divide", "args": [{"ref": "CurrentProductPosition"},
+                                     {"const": "0"}]},
+    ]}
+    model = parse_model(doc)
+    results = [plan(model, 2, _config(incremental=incremental))
+               for incremental in (False, True)]
+    for result in results:
+        assert isinstance(result, NoPlanFound)
+        assert [(o.status, o.reason) for o in result.outcomes] == [
+            ("unknown", "solver returned unknown")] * 3
+
+
+def test_incremental_transcript_replays_and_carries_the_seed(tmp_path):
+    transcript = tmp_path / "transcript.smt2"
+    config = _config(incremental=True)
+    config.solver = SolverConfig(command=fixtures.REFSOLVER_CMD, random_seed=7,
+                                 transcript=transcript)
+    model = fixtures.drive_transport_model(product_at=3)
+    assert plan(model, 3, config).bound_happenings == 2
+    content = transcript.read_text()
+    assert content.startswith("; --- request ---\n(set-option :produce-models true)")
+    assert "(set-option :random-seed 7)\n" in content
+    assert "; --- response ---\n; unsat\n" in content
+    assert content.count("(push 1)") == 2 and content.count("(pop 1)") == 1
+    # Responses are comments, so the transcript is the script the solver
+    # read: replayed, it draws the recorded responses again.
+    recorded = "".join(line[2:] + "\n" for line in content.splitlines()
+                       if line.startswith("; ") and not line.startswith("; --- "))
+    replayed = subprocess.run(fixtures.REFSOLVER_CMD, input=content,
+                              capture_output=True, text=True, check=True)
+    assert replayed.stdout == recorded
 
 
 def test_expanded_mode_agrees_on_transport():

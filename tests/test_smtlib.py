@@ -11,6 +11,7 @@ from capplan.encoder import build
 from capplan.errors import SolverLaunchError, SolverProtocolError
 from capplan.model import merge_documents, parse_model
 from capplan.smtlib import (
+    SmtProcess,
     SolverConfig,
     emit,
     format_value,
@@ -153,6 +154,16 @@ def test_timeout_maps_to_unknown():
     assert outcome.reason == "timeout"
 
 
+def test_solver_exit_is_a_protocol_error():
+    process = SmtProcess(_config(command=[sys.executable, "-c", "pass"]))
+    process.proc.wait()
+    try:
+        with pytest.raises(SolverProtocolError):
+            process.exchange("(set-logic QF_LRA)\n")
+    finally:
+        process.close()
+
+
 def test_core_validity_restriction_stays_unsat():
     model = fixtures.contradictory_model()
     encoding = build(model, build_index(model), 0)
@@ -187,3 +198,21 @@ def test_transcript_capture(tmp_path):
     assert "; --- request ---" in content
     assert "(check-sat)" in content
     assert "; sat" in content
+
+    # A persistent process writes the same format as the exchange happens,
+    # before it is closed.
+    path = tmp_path / "incremental.smt2"
+    script = "(set-logic QF_LRA)\n(declare-const x Real)\n(assert (= x 5.0))\n"
+    process = SmtProcess(_config(transcript=path, produce_unsat_cores=False))
+    try:
+        outcome = process.exchange(script)
+        content = path.read_text()
+    finally:
+        process.close()
+    assert outcome.valuation == {"x": Fraction(5)}
+    assert content == (
+        "; --- request ---\n" + script + "(check-sat)\n"
+        "; --- response ---\n; sat\n"
+        "; --- request ---\n(get-model)\n"
+        "; --- response ---\n; (model\n;   (define-fun x () Real 5.0)\n; )\n"
+    )

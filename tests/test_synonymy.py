@@ -67,16 +67,6 @@ def test_syn_props_excludes_self():
         assert pid not in synonyms
 
 
-def test_synonymous_capabilities():
-    model = fixtures.transport_model()
-    index = build_index(model)
-    # Transport touches two members of the position class directly, so it is
-    # synonymous only with respect to the required-side member ids.
-    assert index.syn_caps["RequestedPositionAfter"] == {"Transport"}
-    assert index.syn_caps["CurrentProductPosition"] == frozenset()
-    assert index.syn_caps["TargetPosition"] == frozenset()
-
-
 def test_three_capabilities_sharing_one_class():
     properties = []
     capabilities = []
@@ -99,18 +89,11 @@ def test_three_capabilities_sharing_one_class():
         "capabilities": capabilities,
     }
     index = build_index(parse_model(doc))
+    widths = ("p0.width", "p1.width", "p2.width")
+    assert index.members("p0.width") == widths
     for i in range(3):
-        others = {f"cap{j}" for j in range(3) if j != i}
-        assert index.syn_caps[f"p{i}.width"] == others
-
-
-def test_syn_caps_never_contains_directly_attached():
-    for seed in range(20):
-        model = fixtures.random_model(seed)
-        index = build_index(model)
-        for cap in model.provided:
-            for pid in cap.attached_property_ids():
-                assert cap.id not in index.syn_caps[pid]
+        assert index.class_id(f"p{i}.width") == "p0.width"
+        assert index.syn_props[f"p{i}.width"] == set(widths) - {f"p{i}.width"}
 
 
 def test_classes_partition_and_share_type():
@@ -172,7 +155,6 @@ def test_effect_sets_boolean_assurance():
     model = parse_model(doc)
     sets = effect_sets(model, model.provided[0])
     assert sets.positive == {"clamped"}
-    assert sets.remain_same == {"released"}
     assert sets.negative == frozenset()
     assert sets.eff == {"clamped", "released"}
 
