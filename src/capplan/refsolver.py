@@ -2,11 +2,14 @@
 
 Speaks enough of the SMT-LIB2 command language on stdin/stdout to act as a
 check-sat backend: declare-const, assert (with :named annotations),
-push/pop, check-sat, get-model, get-unsat-core.  Boolean structure is
-decided by a DPLL loop over a Tseitin CNF; conjunctions of linear
-constraints are decided exactly over the rationals by Gaussian elimination
-of equalities followed by Fourier-Motzkin elimination, with conflict-set
-tracking so theory conflicts become learned clauses.
+push/pop, check-sat, get-model, get-unsat-core and
+`get-info :all-statistics`.  Boolean structure is decided by a CDCL loop
+over a Tseitin CNF.  Linear constraints are decided exactly over the
+rationals by a backtrackable general simplex that follows the search:
+each atom is a bound on a variable or on a slack for its linear form,
+asserting a literal tightens a bound, backjumping restores it, and an
+infeasible row yields the literals of its bounds as a learned conflict
+clause.  Disequalities are split on once the assignment is complete.
 
 Limitations, by design: no uninterpreted functions, no quantifiers,
 nonlinear arithmetic answers `unknown`, and the unsat core returned is the
@@ -189,22 +192,6 @@ class Lin:
         return (tuple(sorted(self.coeffs.items())), self.const)
 
 
-def _resolve(term: Lin, origins: frozenset, subst: dict):
-    """Substitute eliminated variables until none remain."""
-    changed = True
-    while changed:
-        changed = False
-        for var in list(term.coeffs):
-            if var in subst:
-                expr, expr_origins = subst[var]
-                coeff = term.coeffs.pop(var)
-                term = term + expr.scale(coeff)
-                origins = origins | expr_origins
-                changed = True
-                break
-    return term, origins
-
-
 def _check_const(op: str, const: Fraction) -> bool:
     if op == EQ:
         return const == 0
@@ -213,121 +200,315 @@ def _check_const(op: str, const: Fraction) -> bool:
     return const < 0
 
 
-def feasible(constraints):
-    """Decide a conjunction of linear constraints (term op 0).
+# Sides of a bound, and the undo-log entries of disequalities and of
+# crossing bounds.
+LOWER, UPPER, DISEQ, CROSSED = 0, 1, 2, 3
+GE, GT = "ge", "gt"
+_FLIP = {EQ: EQ, LE: GE, LT: GT}
+# What asserting `x op b` true, or false, does to x: (side, k) is the bound
+# b + k*delta on that side, (DISEQ, 0) the disequality x != b.
+_EFFECTS = {
+    EQ: (((LOWER, 0), (UPPER, 0)), ((DISEQ, 0),)),
+    LE: (((UPPER, 0),), ((LOWER, 1),)),
+    LT: (((UPPER, -1),), ((LOWER, 0),)),
+    GE: (((LOWER, 0),), ((UPPER, -1),)),
+    GT: (((LOWER, 1),), ((UPPER, 0),)),
+}
 
-    constraints: list of (op, Lin, origins frozenset).
-    Returns ("sat", model) or ("unsat", conflict_origins).
+
+class Simplex:
+    """Backtrackable general simplex over delta-rationals, after Dutertre
+    and de Moura, "A Fast Linear-Arithmetic Solver for DPLL(T)" (CAV 2006).
+
+    Each atom is registered once as a bound on one variable: the input
+    variable it mentions, or else a slack standing for its linear form
+    (forms equal up to a factor share a slack).  Values and bounds are
+    pairs (c, k) meaning c + k*delta for an infinitesimal delta > 0; tuple
+    order is their order, so strict bounds stay exact.  Asserting a
+    literal only tightens bounds and logs what it replaced, and undo_to()
+    restores them; the assignment survives backtracking because looser
+    bounds never invalidate it.  check() repairs the assignment by
+    pivoting under Bland's rule and, when a row cannot be repaired,
+    returns the tags of that row's bounds.  Disequalities are collected
+    and split on only by final_check().
     """
-    eqs = [c for c in constraints if c[0] == EQ]
-    ineqs = [c for c in constraints if c[0] in (LE, LT)]
-    nes = [c for c in constraints if c[0] == NE]
-    return _feasible_split(eqs, ineqs, nes)
 
+    def __init__(self):
+        self.ids: dict = {}  # input variable name or slack form -> id
+        self.names: list = []  # id -> input variable name, None for a slack
+        self.value: list = []  # id -> (c, k)
+        self.bounds = ([], [])  # LOWER, UPPER: id -> ((c, k), tag) or None
+        self.rows: dict = {}  # basic id -> {nonbasic id: coefficient}
+        self.cols: dict = {}  # nonbasic id -> ids of the rows it occurs in
+        self.atoms: dict = {}  # atom -> (id, b, op), meaning `id op b`
+        self.diseqs: list = []  # (id, b, tag): asserted `id != b`
+        self.undo: list = []  # (kind, id, replaced bound)
+        self.crossed = None  # tags of a lower and an upper bound that cross
+        self.moves: set = set()  # nonbasic ids outside their bounds
+        self.candidates: set = set()  # basic ids that may be outside theirs
+        self.checks = self.conflicts = self.pivots = 0
 
-def _feasible_split(eqs, ineqs, nes):
-    res = _feasible_base(eqs, ineqs)
-    if res[0] == "unsat":
-        return res
-    model = res[1]
-    violated = None
-    for i, (_, term, origins) in enumerate(nes):
-        if term.evaluate(model) == 0:
-            violated = i
-            break
-    if violated is None:
-        return res
-    _, term, origins = nes[violated]
-    rest = nes[:violated] + nes[violated + 1 :]
-    below = _feasible_split(eqs, ineqs + [(LT, term, origins)], rest)
-    if below[0] == "sat":
-        return below
-    above = _feasible_split(eqs, ineqs + [(LT, -term, origins)], rest)
-    if above[0] == "sat":
-        return above
-    return ("unsat", below[1] | above[1])
+    # -- registration --
 
+    def _new(self, name) -> int:
+        self.names.append(name)
+        self.value.append((0, 0))
+        self.bounds[LOWER].append(None)
+        self.bounds[UPPER].append(None)
+        return len(self.names) - 1
 
-def _feasible_base(eqs, ineqs):
-    subst: dict = {}
-    sub_order: list = []
-    for _, term, origins in eqs:
-        term, origins = _resolve(Lin(term.coeffs, term.const), origins, subst)
-        if not term.coeffs:
-            if term.const != 0:
-                return ("unsat", origins)
-            continue
-        var = min(term.coeffs)
-        coeff = term.coeffs[var]
-        rest = Lin({v: c for v, c in term.coeffs.items() if v != var}, term.const)
-        subst[var] = (rest.scale(Fraction(-1, 1) / coeff), origins)
-        sub_order.append(var)
+    def _input(self, name: str) -> int:
+        if name not in self.ids:
+            self.ids[name] = self._new(name)
+        return self.ids[name]
 
-    rows = []
-    for op, term, origins in ineqs:
-        term, origins = _resolve(Lin(term.coeffs, term.const), origins, subst)
-        if not term.coeffs:
-            if not _check_const(op, term.const):
-                return ("unsat", origins)
-            continue
-        rows.append((op, term, origins))
+    def _slack(self, form: tuple) -> int:
+        if form not in self.ids:
+            slack = self.ids[form] = self._new(None)
+            row = self.rows[slack] = {self._input(name): c for name, c in form}
+            for x in row:
+                self.cols.setdefault(x, set()).add(slack)
+        return self.ids[form]
 
-    all_vars = sorted({v for _, t, _ in rows for v in t.coeffs})
-    eliminated = []
-    for var in all_vars:
-        lows, ups, rest = [], [], []
-        for op, term, origins in rows:
-            coeff = term.coeffs.get(var, Fraction(0))
-            if coeff == 0:
-                rest.append((op, term, origins))
-                continue
-            bound = Lin(
-                {v: c for v, c in term.coeffs.items() if v != var}, term.const
-            ).scale(Fraction(-1, 1) / coeff)
-            # coeff > 0: var <= bound; coeff < 0: var >= bound
-            (ups if coeff > 0 else lows).append((op, bound, origins))
-        new_rows = rest
-        for lop, low, lorigins in lows:
-            for uop, up, uorigins in ups:
-                strict = lop == LT or uop == LT
-                term = low - up
-                origins = lorigins | uorigins
-                if not term.coeffs:
-                    if not _check_const(LT if strict else LE, term.const):
-                        return ("unsat", origins)
-                else:
-                    new_rows.append((LT if strict else LE, term, origins))
-        eliminated.append((var, lows, ups))
-        rows = new_rows
-
-    model: dict = {}
-    for var, lows, ups in reversed(eliminated):
-        low = None
-        low_strict = False
-        for op, bound, _ in lows:
-            value = bound.evaluate(model)
-            if low is None or value > low or (value == low and op == LT):
-                low, low_strict = value, op == LT
-        high = None
-        high_strict = False
-        for op, bound, _ in ups:
-            value = bound.evaluate(model)
-            if high is None or value < high or (value == high and op == LT):
-                high, high_strict = value, op == LT
-        if low is None and high is None:
-            model[var] = Fraction(0)
-        elif low is None:
-            model[var] = high - 1 if high_strict else high
-        elif high is None:
-            model[var] = low + 1 if low_strict else low
-        elif low == high:
-            model[var] = low
+    def add_atom(self, atom, op: str, term: Lin) -> None:
+        """Register the atom `term op 0` (op EQ, LE or LT; term not
+        constant) under the key `atom`.  Every atom is registered before
+        the first assertion, while all variables are nonbasic at zero."""
+        items = sorted(term.coeffs.items())
+        lead = items[0][1]
+        if len(items) == 1:
+            x = self._input(items[0][0])
         else:
-            model[var] = (low + high) / 2
-    for var in reversed(sub_order):
-        expr, _ = subst[var]
-        model[var] = expr.evaluate(model)
-    return ("sat", model)
+            x = self._slack(tuple((name, c / lead) for name, c in items))
+        self.atoms[atom] = (x, -term.const / lead, op if lead > 0 else _FLIP[op])
+
+    # -- asserting and backtracking --
+
+    @property
+    def stale(self) -> bool:
+        """Whether check() may find something to repair or report."""
+        return bool(self.crossed or self.moves or self.candidates)
+
+    def assert_lit(self, lit: int) -> None:
+        """Assert the registered atom `abs(lit)`, negated when lit < 0;
+        lit is the tag of every bound this adds."""
+        if self.crossed is not None:
+            return
+        x, b, op = self.atoms[abs(lit)]
+        for side, k in _EFFECTS[op][lit < 0]:
+            if side == DISEQ:
+                self.diseqs.append((x, b, lit))
+                self.undo.append((DISEQ, x, None))
+            else:
+                self._tighten(x, side, (b, k), lit)
+
+    def _tighten(self, x: int, side: int, bound: tuple, tag) -> None:
+        old = self.bounds[side][x]
+        if old is not None and (old[0] >= bound if side == LOWER else old[0] <= bound):
+            return
+        other = self.bounds[1 - side][x]
+        if other is not None and (other[0] < bound if side == LOWER else other[0] > bound):
+            self.crossed = {tag, other[1]}
+            self.undo.append((CROSSED, x, None))
+            return
+        self.undo.append((side, x, old))
+        self.bounds[side][x] = (bound, tag)
+        value = self.value[x]
+        if value < bound if side == LOWER else value > bound:
+            (self.candidates if x in self.rows else self.moves).add(x)
+
+    def undo_to(self, mark: int) -> None:
+        """Take back everything asserted since len(self.undo) was `mark`."""
+        undo = self.undo
+        while len(undo) > mark:
+            kind, x, old = undo.pop()
+            if kind == DISEQ:
+                self.diseqs.pop()
+            elif kind == CROSSED:
+                self.crossed = None
+            else:
+                self.bounds[kind][x] = old
+
+    # -- checking --
+
+    def _violated(self, x: int):
+        """The bound that x's value violates, or None."""
+        value = self.value[x]
+        low = self.bounds[LOWER][x]
+        if low is not None and value < low[0]:
+            return low[0]
+        high = self.bounds[UPPER][x]
+        if high is not None and value > high[0]:
+            return high[0]
+        return None
+
+    def _update(self, x: int, target: tuple) -> None:
+        """Move nonbasic x to `target`, and the basic variables with it."""
+        c, k = self.value[x]
+        d0, d1 = target[0] - c, target[1] - k
+        for y in self.cols.get(x, ()):
+            a = self.rows[y][x]
+            c, k = self.value[y]
+            self.value[y] = (c + a * d0, k + a * d1 if d1 else k)
+            self.candidates.add(y)
+        self.value[x] = target
+
+    def _pivot_and_update(self, xi: int, xj: int, target: tuple) -> None:
+        """Set basic xi to `target` by moving nonbasic xj, then swap them."""
+        a = self.rows[xi][xj]
+        c, k = self.value[xi]
+        t0, t1 = (target[0] - c) / a, (target[1] - k) / a
+        self.value[xi] = target
+        c, k = self.value[xj]
+        self.value[xj] = (c + t0, k + t1)
+        for y in self.cols[xj]:
+            if y != xi:
+                b = self.rows[y][xj]
+                c, k = self.value[y]
+                self.value[y] = (c + b * t0, k + b * t1)
+                self.candidates.add(y)
+        self.candidates.add(xj)
+        self._pivot(xi, xj)
+        self.pivots += 1
+
+    def _pivot(self, xi: int, xj: int) -> None:
+        """Make xj basic in xi's row and substitute it in every other row."""
+        rows, cols = self.rows, self.cols
+        row = rows.pop(xi)
+        inv = 1 / row.pop(xj)
+        for y in row:
+            cols[y].discard(xi)
+        new = {y: -c * inv for y, c in row.items()}
+        new[xi] = inv
+        others = cols.pop(xj)
+        others.discard(xi)
+        rows[xj] = new
+        for y in new:
+            cols.setdefault(y, set()).add(xj)
+        for r in others:
+            target = rows[r]
+            factor = target.pop(xj)
+            for y, c in new.items():
+                total = target.get(y, 0) + factor * c
+                if total == 0:
+                    del target[y]
+                    cols[y].discard(r)
+                else:
+                    if y not in target:
+                        cols[y].add(r)
+                    target[y] = total
+
+    def _can_move(self, x: int, up: bool) -> bool:
+        bound = self.bounds[UPPER if up else LOWER][x]
+        if bound is None:
+            return True
+        return self.value[x] < bound[0] if up else self.value[x] > bound[0]
+
+    def check(self):
+        """Satisfy every bound: None on success, else the tags of a
+        conflicting set of bounds."""
+        if self.crossed is not None:
+            return self.crossed
+        for x in self.moves:
+            target = self._violated(x)
+            if target is not None:
+                self._update(x, target)
+        self.moves.clear()
+        while True:
+            violated = [x for x in self.candidates
+                        if x in self.rows and self._violated(x) is not None]
+            self.candidates = set(violated)
+            if not violated:
+                return None
+            xi = min(violated)
+            target = self._violated(xi)
+            up = target > self.value[xi]
+            row = self.rows[xi]
+            xj = min((y for y, a in row.items() if self._can_move(y, (a > 0) == up)),
+                     default=None)
+            if xj is None:
+                tags = {self.bounds[LOWER if up else UPPER][xi][1]}
+                for y, a in row.items():
+                    tags.add(self.bounds[UPPER if (a > 0) == up else LOWER][y][1])
+                return tags
+            self._pivot_and_update(xi, xj, target)
+
+    def _concrete(self) -> list:
+        """Every variable's value with delta replaced by a rational small
+        enough that all bounds still hold."""
+        delta = Fraction(1)
+        lows, highs = self.bounds
+        for x, (c, k) in enumerate(self.value):
+            low, high = lows[x], highs[x]
+            if low is not None and low[0][0] < c and low[0][1] > k:
+                delta = min(delta, Fraction(c - low[0][0]) / (low[0][1] - k))
+            if high is not None and c < high[0][0] and k > high[0][1]:
+                delta = min(delta, Fraction(high[0][0] - c) / (k - high[0][1]))
+        return [c + delta * k for c, k in self.value]
+
+    def final_check(self):
+        """check(), then the disequalities: one the model violates is split
+        into `<` and `>`, each tried in turn.  Returns ("sat", model of the
+        input variables) or ("unsat", tags)."""
+        conflict = self.check()
+        if conflict is not None:
+            return "unsat", conflict
+        values = self._concrete()
+        for x, b, tag in self.diseqs:
+            if values[x] == b:
+                break
+        else:
+            return "sat", {name: values[x] for x, name in enumerate(self.names)
+                           if name is not None}
+        conflicts: set = set()
+        for side, k in ((UPPER, -1), (LOWER, 1)):
+            mark = len(self.undo)
+            self._tighten(x, side, (b, k), tag)
+            result = self.final_check()
+            self.undo_to(mark)
+            if result[0] == "sat" or tag not in result[1]:
+                return result
+            conflicts |= result[1]
+        return "unsat", conflicts
+
+
+def feasible(theory, complete: bool = True):
+    """Decide a conjunction of linear constraints.
+
+    theory: the live Simplex of a search, or a list of (op, Lin, origins)
+    constraints `term op 0` with op EQ, LE, LT or NE.  A complete check
+    also splits disequalities and returns ("sat", model), an exact
+    rational value for every variable; a partial one (complete=False)
+    checks bounds only and returns ("sat", None).  An unsat answer is
+    ("unsat", conflict): a subset of the live simplex's asserted
+    literals, or the union of the origins of a subset of the list.
+    """
+    if isinstance(theory, Simplex):
+        theory.checks += 1
+        if complete:
+            result = theory.final_check()
+        else:
+            conflict = theory.check()
+            result = ("sat", None) if conflict is None else ("unsat", conflict)
+        if result[0] == "unsat":
+            theory.conflicts += 1
+        return result
+    simplex = Simplex()
+    origins: dict = {}
+    for atom, (op, term, origin) in enumerate(theory, 1):
+        if not term.coeffs:
+            holds = term.const != 0 if op == NE else _check_const(op, term.const)
+            if not holds:
+                return "unsat", frozenset(origin)
+            continue
+        simplex.add_atom(atom, EQ if op == NE else op, term)
+        origins[atom] = (-atom if op == NE else atom, origin)
+    for lit, _ in origins.values():
+        simplex.assert_lit(lit)
+    status, detail = simplex.final_check()
+    if status == "unsat":
+        detail = frozenset().union(*(origins[abs(lit)][1] for lit in detail))
+    return status, detail
 
 
 # -- boolean skeleton ---------------------------------------------------------
@@ -566,11 +747,18 @@ class Translator:
 # -- DPLL ----------------------------------------------------------------------
 
 
+# What `(get-info :all-statistics)` reports about the last check-sat.
+STATISTICS = ("decisions", "conflicts", "learned-clauses", "theory-checks",
+              "theory-conflicts", "pivots")
+
+
 class Dpll:
     """CDCL search: unit propagation, 1UIP conflict analysis with
     non-chronological backjumping, and an activity-driven decision
-    heuristic.  Theory conflicts become learned clauses the same way
-    boolean conflicts do."""
+    heuristic.  One Simplex follows the search: every assigned atom is
+    asserted into it, backjumping takes its bounds back, and it is checked
+    before each decision.  Theory conflicts become learned clauses the
+    same way boolean conflicts do."""
 
     def __init__(self, skeleton: Skeleton):
         self.sk = skeleton
@@ -580,7 +768,13 @@ class Dpll:
         self.level: dict = {}
         self.reason: dict = {}  # var -> clause index (None for decisions)
         self.trail: list = []
-        self.level_marks: list = []  # trail length at each decision level
+        # (trail length, theory undo-log length) at each decision level
+        self.level_marks: list = []
+        self.theory = Simplex()
+        for var, (op, term) in skeleton.atoms.items():
+            self.theory.add_atom(var, op, term)
+        self.decisions = 0
+        self.conflicts = 0
         self.occ: dict = {}
         for index, clause in enumerate(self.clauses):
             for lit in clause:
@@ -606,6 +800,8 @@ class Dpll:
         self.reason[var] = reason
         self.trail.append(var)
         self.queue.append(var)
+        if var in self.theory.atoms:
+            self.theory.assert_lit(var if value else -var)
 
     def _lit_value(self, lit):
         value = self.assign.get(abs(lit))
@@ -654,8 +850,9 @@ class Dpll:
         return self._propagate()
 
     def _backjump(self, target_level) -> None:
-        mark = self.level_marks[target_level]
+        mark, theory_mark = self.level_marks[target_level]
         del self.level_marks[target_level:]
+        self.theory.undo_to(theory_mark)
         while len(self.trail) > mark:
             var = self.trail.pop()
             del self.assign[var]
@@ -673,6 +870,7 @@ class Dpll:
     def _analyze(self, conflict_index):
         """1UIP learning.  Returns (learned clause, backjump level) or None
         when the conflict is at level zero (unsat)."""
+        self.conflicts += 1
         conflict = self.clauses[conflict_index]
         top = max((self.level[abs(l)] for l in conflict), default=0)
         if top == 0:
@@ -733,73 +931,39 @@ class Dpll:
             follow = self._propagate()
         return True
 
-    def _theory_literals(self):
-        lits = []
-        for var, (op, term) in self.sk.atoms.items():
-            value = self.assign.get(var)
-            if value is None:
-                continue
-            lit = var if value else -var
-            if value:
-                lits.append((op, term, frozenset((lit,))))
-            elif op == EQ:
-                lits.append((NE, term, frozenset((lit,))))
-            elif op == LE:
-                lits.append((LT, -term, frozenset((lit,))))
-            else:  # not (t < 0)  ->  -t <= 0
-                lits.append((LE, -term, frozenset((lit,))))
-        return lits
-
-    def _theory_check(self):
-        """None if consistent (also refreshes the rational model), else the
-        index of a freshly learned conflict clause."""
-        lits = self._theory_literals()
-        self._checked_count = len(lits)
-        if not lits:
-            self.real_model = {}
-            return None
-        result = feasible(lits)
-        if result[0] == "sat":
-            self.real_model = result[1]
-            return None
-        return self._add_clause([-lit for lit in sorted(result[1])])
-
-    def _assigned_atom_count(self) -> int:
-        return sum(1 for var in self.sk.atoms if var in self.assign)
-
     def solve(self):
         self.real_model = {}
-        self._checked_count = -1
         conflict = self._propagate_all()
         if conflict is not None and not self._handle_conflict(conflict):
             return "unsat"
         while True:
-            complete = len(self.assign) >= self.nvars
-            count = self._assigned_atom_count()
-            if count < self._checked_count:
-                self._checked_count = count
-            # Full theory checks are the expensive part; run them when the
-            # assignment is complete and periodically while it grows.
-            if complete or count >= self._checked_count + 4:
-                conflict = self._theory_check()
-                if conflict is not None:
-                    if not self._handle_conflict(conflict):
+            var = self._pick()
+            # Bounds are checked before every decision they have changed
+            # since the last check; disequalities only once the assignment
+            # is complete.
+            if var is None or self.theory.stale:
+                status, detail = feasible(self.theory, complete=var is None)
+                if status == "unsat":
+                    index = self._add_clause([-lit for lit in sorted(detail)])
+                    if not self._handle_conflict(index):
                         return "unsat"
                     continue
-            var = self._pick()
-            if var is None:
-                if self._checked_count != self._assigned_atom_count():
-                    conflict = self._theory_check()
-                    if conflict is not None:
-                        if not self._handle_conflict(conflict):
-                            return "unsat"
-                        continue
-                return "sat"
-            self.level_marks.append(len(self.trail))
+                if var is None:
+                    self.real_model = detail
+                    return "sat"
+            self.decisions += 1
+            self.level_marks.append((len(self.trail), len(self.theory.undo)))
             self._set(var, False, None)
             conflict = self._propagate()
             if conflict is not None and not self._handle_conflict(conflict):
                 return "unsat"
+
+    def statistics(self) -> dict:
+        """The counts named in STATISTICS, for the search so far."""
+        learned = len(self.clauses) - len(self.sk.clauses)
+        theory = self.theory
+        return dict(zip(STATISTICS, (self.decisions, self.conflicts, learned,
+                                     theory.checks, theory.conflicts, theory.pivots)))
 
     def _pick(self):
         best = None
@@ -847,6 +1011,7 @@ class RefSolver:
         self.auto_names = 0
         self.last_status = None
         self.last_model: dict = {}
+        self.last_stats: dict = {}
 
     def _print(self, text: str) -> None:
         self.out.write(text + "\n")
@@ -914,6 +1079,13 @@ class RefSolver:
         if head == "get-unsat-core":
             self._get_unsat_core()
             return True
+        if head == "get-info":
+            if sexp[1:] == [":all-statistics"]:
+                counts = " ".join(f":{key} {n}" for key, n in self.last_stats.items())
+                self._print(f"({counts})")
+            else:
+                self._print("unsupported")
+            return True
         if head == "reset":
             self.__init__(self.out)
             return True
@@ -924,6 +1096,7 @@ class RefSolver:
 
     def _check_sat(self) -> None:
         skeleton = Skeleton()
+        self.last_stats = dict.fromkeys(STATISTICS, 0)
         translator = Translator(self.sorts, skeleton)
         try:
             roots = []
@@ -954,6 +1127,7 @@ class RefSolver:
         dpll = Dpll(skeleton)
         status = dpll.solve()
         self.last_status = status
+        self.last_stats = dpll.statistics()
         if status == "sat":
             self.last_model = {}
             for name in self.decl_order:

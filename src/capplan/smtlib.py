@@ -10,6 +10,8 @@ oracle without float drift.
 
 from __future__ import annotations
 
+import codecs
+import re
 import select
 import shlex
 import subprocess
@@ -181,7 +183,9 @@ def tokenize(text: str):
             yield c
             i += 1
         elif c == "|":
-            j = text.index("|", i + 1)
+            j = text.find("|", i + 1)
+            if j < 0:
+                raise SolverProtocolError("unterminated quoted symbol in solver output")
             yield text[i : j + 1]
             i = j + 1
         elif c == '"':
@@ -350,11 +354,66 @@ def minimize_core(encoding: Encoding, core: list, config: SolverConfig) -> list:
     return sorted(kept, key=lambda n: order[n])
 
 
-def _status_line(buffer: str) -> Optional[str]:
-    """The first complete line of a check-sat answer that is not an
-    (error ...) line, as parse_answer skips them; None until one arrives."""
-    lines = (line.strip() for line in buffer[: buffer.rfind("\n") + 1].splitlines())
-    return next((line for line in lines if line and not line.startswith("(error")), None)
+class _StatusLine:
+    """Fed a check-sat answer chunk by chunk, finds its first complete line
+    that is not an (error ...) line, as parse_answer skips them."""
+
+    def __init__(self):
+        self.partial: list = []  # the text since the last newline
+        self.line: Optional[str] = None
+
+    def __call__(self, chunk: str) -> bool:
+        if "\n" not in chunk:
+            self.partial.append(chunk)
+            return False
+        *lines, rest = ("".join(self.partial) + chunk).split("\n")
+        self.partial = [rest]
+        for line in lines:
+            line = line.strip()
+            if line and not line.startswith("(error"):
+                self.line = line
+                return True
+        return False
+
+
+# Parentheses, the openers of quoted symbols, strings and comments, and
+# runs of other atom characters.
+_SEXP_TOKEN = re.compile(r'[()|";]|[^\s()|";]+')
+_CLOSER = {"|": "|", '"': '"', ";": "\n"}
+
+
+class _Balanced:
+    """Fed an answer chunk by chunk, tells when it holds one complete
+    S-expression: a balanced list or a top-level atom.  Each call scans
+    only the new chunk, so reading a large answer stays linear."""
+
+    def __init__(self):
+        self.depth = 0
+        self.closer: Optional[str] = None  # ends the symbol, string or comment being read
+
+    def __call__(self, chunk: str) -> bool:
+        pos = 0
+        while True:
+            if self.closer is not None:
+                end = chunk.find(self.closer, pos)
+                if end < 0:
+                    return False
+                self.closer = None
+                pos = end + 1
+            match = _SEXP_TOKEN.search(chunk, pos)
+            if match is None:
+                return False
+            token, pos = match.group(), match.end()
+            if token == "(":
+                self.depth += 1
+            elif token == ")":
+                self.depth -= 1
+                if self.depth == 0:
+                    return True
+            elif self.depth == 0 and token != ";":
+                return True
+            elif token in _CLOSER:
+                self.closer = _CLOSER[token]
 
 
 class SmtProcess:
@@ -389,13 +448,16 @@ class SmtProcess:
             raise SolverProtocolError("solver closed its input") from exc
 
     def _read_until(self, done) -> str:
-        """Read stdout until `done(buffer)` holds or the timeout passes.
-        What was read goes to the transcript, with the error if any."""
+        """Read stdout until `done(chunk)`, called on each chunk as it
+        arrives, holds or the timeout passes.  What was read goes to the
+        transcript, with the error if any."""
         deadline = self._deadline or time.monotonic() + self.config.timeout_seconds
-        buffer = ""
+        chunks: list = []
+        decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
         stream = self.proc.stdout
         error = None
-        while error is None and not done(buffer):
+        finished = False
+        while error is None and not finished:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 error = TimeoutError("solver response timeout")
@@ -403,42 +465,30 @@ class SmtProcess:
                 if self.proc.poll() is not None:
                     error = SolverProtocolError("solver exited mid-response")
             else:
-                chunk = stream.read1(65536)
-                if not chunk:
+                data = stream.read1(65536)
+                if not data:
                     error = SolverProtocolError("solver closed its output")
-                buffer += chunk.decode("utf-8", errors="replace")
+                chunks.append(decoder.decode(data))
+                finished = done(chunks[-1])
+        buffer = "".join(chunks)
         if error is not None:
             self._log("response", f"{buffer.rstrip()}\n; {error}".lstrip())
             raise error
         self._log("response", buffer)
         return buffer
 
-    @staticmethod
-    def _balanced(buffer: str) -> bool:
-        depth = 0
-        seen = False
-        for token in tokenize(buffer):
-            if token == "(":
-                depth += 1
-                seen = True
-            elif token == ")":
-                depth -= 1
-                if depth == 0:
-                    return True
-            elif depth == 0 and token:
-                return True
-        return seen and depth == 0
-
     def check_sat(self) -> str:
         self.send("(check-sat)\n")
-        status = _status_line(self._read_until(_status_line))
+        answer = _StatusLine()
+        self._read_until(answer)
+        status = answer.line
         if status not in ("sat", "unsat", "unknown"):
             raise SolverProtocolError(f"unexpected check-sat answer {status!r}")
         return status
 
     def get_model(self) -> dict:
         self.send("(get-model)\n")
-        answer = self._read_until(self._balanced)
+        answer = self._read_until(_Balanced())
         valuation: dict = {}
         for node in parse_sexprs(answer):
             _collect_define_funs(node, valuation)
@@ -446,7 +496,7 @@ class SmtProcess:
 
     def get_unsat_core(self) -> Optional[list]:
         self.send("(get-unsat-core)\n")
-        answer = self._read_until(self._balanced)
+        answer = self._read_until(_Balanced())
         for node in parse_sexprs(answer):
             if isinstance(node, list) and node[:1] == ["error"]:
                 return None

@@ -1,5 +1,6 @@
 import json
 import shlex
+import sys
 
 import pytest
 
@@ -95,6 +96,24 @@ def test_plan_no_plan_exit_code_and_explanation(docs, capsys, tmp_path):
     names = {e["name"] for e in document["explanation"]["elements"]}
     assert any(n.startswith(("init.", "goal.")) for n in names)
     assert any(n.startswith(("frame.", "pre.")) for n in names)
+
+
+def test_garbled_solver_answer_exits_3(docs, capsys, tmp_path):
+    fake = tmp_path / "garbled_solver.py"
+    fake.write_text(
+        "import sys\n"
+        "sys.stdin.read()\n"
+        "print('sat')\n"
+        "print('(model (define-fun |x () Real 1.0))')\n"
+    )
+    solver = f"{shlex.quote(sys.executable)} {shlex.quote(str(fake))}"
+    code, _, err = run(
+        ["plan", "--model", docs["single"], "--max-happenings", "1",
+         "--solver-cmd", solver],
+        capsys,
+    )
+    assert code == 3
+    assert "unterminated quoted symbol" in err
 
 
 def test_dump_smt_deterministic(docs, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
+from fm_reference import satisfied
 from capplan.refsolver import EQ, LE, LT, NE, Lin, RefSolver, SexpReader, feasible
 
 
@@ -103,23 +104,12 @@ def test_feasible_models_satisfy_their_systems(rows):
         for point in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 1, 0),
                       (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2))):
             model = dict(zip("xyz", map(Fraction, point)))
-            assert not all(_satisfied(op, term, model)
+            assert not all(satisfied(op, term, model)
                            for op, term, _ in constraints)
         return
     model = result[1]
     for op, term, _ in constraints:
-        assert _satisfied(op, term, model)
-
-
-def _satisfied(op, term, model):
-    value = term.evaluate(model)
-    if op == EQ:
-        return value == 0
-    if op == LE:
-        return value <= 0
-    if op == LT:
-        return value < 0
-    return value != 0
+        assert satisfied(op, term, model)
 
 
 # -- full solver ----------------------------------------------------------------
@@ -231,3 +221,74 @@ def test_chained_transport_script_is_solved():
     text1 = emit(build(model, index, 1))
     assert run_script(text0).startswith("unsat")
     assert run_script(text1).startswith("sat")
+
+
+def _station_chain(stations: int):
+    """A part moved along `stations` stations at positions 1, 3, 5, ...;
+    move_i needs it at station i and leaves it at station i+1.  Every move
+    writes the one position class, so moves are mutex and the shortest
+    plan applies one per happening."""
+    from capplan.model import parse_model
+
+    def product(entity, goal, value):
+        return {"id": entity, "productTypeId": "Part", "properties": [{
+            "id": f"{entity}.v", "typeDescription": "td.pos",
+            "instanceDescriptions": [
+                {"expressionGoal": goal, "relation": "eq", "value": str(value)}
+            ],
+        }]}
+
+    def port(entity):
+        return {"entity": entity, "properties": [f"{entity}.v"]}
+
+    products = [product("Part.state", "actualValue", 1)]
+    capabilities = []
+    for i in range(stations):
+        products += [product(f"Part.in{i}", "requirement", 2 * i + 1),
+                     product(f"Part.out{i}", "assurance", 2 * i + 3)]
+        capabilities.append({"id": f"move{i}", "kind": "provided",
+                             "inputs": [port(f"Part.in{i}")],
+                             "outputs": [port(f"Part.out{i}")]})
+    products.append(product("Part.goal", "requirement", 2 * stations + 1))
+    capabilities.append({"id": "request", "kind": "required", "inputs": [],
+                         "outputs": [port("Part.goal")]})
+    return parse_model({"typeDescriptions": [{"id": "td.pos", "datatype": "Real"}],
+                        "products": products, "capabilities": capabilities})
+
+
+def test_ten_station_chain_needs_ten_happenings():
+    from capplan.encoder import build
+    from capplan.oracle import simulate
+    from capplan.planner import extract_plan
+    from capplan.smtlib import emit, parse_answer
+    from capplan.synonymy import build_index
+
+    model = _station_chain(10)
+    index = build_index(model)
+    assert run_inprocess(emit(build(model, index, 8))).startswith("unsat")
+    encoding = build(model, index, 9)
+    outcome = parse_answer(run_inprocess(emit(encoding)), expect_core=True)
+    assert outcome.is_sat
+    found = extract_plan(encoding, outcome.valuation)
+    assert [h.applied for h in found.happenings] == [(f"move{i}",) for i in range(10)]
+    assert simulate(model, index, found).ok
+
+
+def test_all_statistics_describe_the_last_check_sat():
+    from capplan.encoder import build
+    from capplan.smtlib import emit, parse_sexprs
+    from capplan.synonymy import build_index
+
+    model = _station_chain(4)
+    script = emit(build(model, build_index(model), 2), produce_cores=False)
+    script = script.replace("(get-model)", "")
+    out = run_inprocess(script + "(get-info :all-statistics)(get-info :version)")
+    status, stats, version = parse_sexprs(out)
+    assert status == "unsat"
+    assert stats[0::2] == [":decisions", ":conflicts", ":learned-clauses",
+                           ":theory-checks", ":theory-conflicts", ":pivots"]
+    assert all(int(count) > 0 for count in stats[1::2]), stats
+    assert version == "unsupported"
+    # A check-sat decided while translating reports zero counts.
+    out = run_inprocess("(assert false)(check-sat)(get-info :all-statistics)")
+    assert parse_sexprs(out)[1][1::2] == ["0"] * 6

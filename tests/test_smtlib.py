@@ -142,6 +142,60 @@ def test_parse_answer_without_status_is_protocol_error():
         parse_answer("flubber\n", expect_core=False)
 
 
+def test_unterminated_quoted_symbol_is_protocol_error():
+    with pytest.raises(SolverProtocolError, match="unterminated quoted symbol"):
+        parse_answer("sat\n(model (define-fun |x () Real 1.0))\n", expect_core=False)
+
+
+def test_multi_megabyte_model_is_read_within_the_timeout():
+    # Reading resumes where the previous chunk ended; re-scanning the
+    # whole answer at every 64 KB chunk would take over a minute here.
+    count = 120_000
+    fake = (
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    if line.strip() == '(check-sat)':\n"
+        "        print('sat', flush=True)\n"
+        "    elif line.strip() == '(get-model)':\n"
+        "        sys.stdout.write('(model\\n' + ''.join(\n"
+        f"            f'  (define-fun |v{{i}}| () Real (/ {{i}} 3))\\n' for i in range({count}))\n"
+        "            + ')\\n')\n"
+        "        sys.stdout.flush()\n"
+    )
+    process = SmtProcess(_config(command=[sys.executable, "-c", fake], timeout_seconds=30))
+    try:
+        outcome = process.exchange("(set-logic QF_LRA)\n")
+    finally:
+        process.close()
+    assert outcome.status == "sat"
+    assert len(outcome.valuation) == count
+    assert outcome.valuation[f"v{count - 1}"] == Fraction(count - 1, 3)
+
+
+def test_model_split_inside_symbols_and_comments_is_read_whole():
+    # Each piece is flushed apart, so the scan resumes inside a quoted
+    # symbol and inside a comment, where parentheses do not count.
+    pieces = ["(model\n  (define-fun |a)", "(b| () Real 1.0) ; c)", "lose )\n",
+              "  (define-fun c () Real (/ 1 2)))\n"]
+    fake = (
+        "import sys, time\n"
+        "for line in sys.stdin:\n"
+        "    if line.strip() == '(check-sat)':\n"
+        "        print('sat', flush=True)\n"
+        "    elif line.strip() == '(get-model)':\n"
+        f"        for piece in {pieces!r}:\n"
+        "            sys.stdout.write(piece)\n"
+        "            sys.stdout.flush()\n"
+        "            time.sleep(0.05)\n"
+    )
+    process = SmtProcess(_config(command=[sys.executable, "-c", fake], timeout_seconds=10))
+    try:
+        outcome = process.exchange("(set-logic QF_LRA)\n")
+    finally:
+        process.close()
+    assert outcome.valuation == {"a)(b": Fraction(1), "c": Fraction(1, 2)}
+
+
 def test_solver_launch_error():
     with pytest.raises(SolverLaunchError):
         solve("(check-sat)\n", _config(command=["/nonexistent/solver"]))
