@@ -11,10 +11,14 @@ asserting a literal tightens a bound, backjumping restores it, and an
 infeasible row yields the literals of its bounds as a learned conflict
 clause.  Disequalities are split on once the assignment is complete.
 
-Limitations, by design: no uninterpreted functions, no quantifiers,
-nonlinear arithmetic answers `unknown`, and the unsat core returned is the
-full asserted set (clients that want a minimal core shrink it themselves
-by deletion).
+Unsat cores come from the search itself: every clause carries the set of
+assertions it was derived from, and `get-unsat-core` names the `:named`
+assertions that the final level-0 conflict depends on.  Such a core is
+unsat on its own but not necessarily minimal; clients that want a minimal
+core shrink it themselves by deletion.
+
+Limitations, by design: no uninterpreted functions, no quantifiers, and
+nonlinear arithmetic answers `unknown`.
 
 Run as `python -m capplan.refsolver` or through the `capplan-refsolver`
 console script.
@@ -519,7 +523,11 @@ FALSE = ("const", False)
 
 
 class Skeleton:
-    """Interns boolean variables and linear atoms; builds a Tseitin CNF."""
+    """Interns boolean variables and linear atoms; builds a Tseitin CNF.
+
+    masks[i] says which root assertions clauses[i] stands for: bit j for
+    the unit clause of the j-th root, 0 for a gate definition, which holds
+    whatever is asserted because its gate is a fresh variable."""
 
     def __init__(self):
         self.var_count = 0
@@ -528,6 +536,16 @@ class Skeleton:
         self.atoms: dict = {}  # var id -> (op, Lin)
         self.aux: set = set()
         self.clauses: list = []
+        self.masks: list = []
+
+    def assert_root(self, node, index: int) -> None:
+        """Add the (constant-free) node as the root assertion `index`."""
+        self.clauses.append([self.tseitin(node)])
+        self.masks.append(1 << index)
+
+    def _define(self, clauses) -> None:
+        self.clauses.extend(clauses)
+        self.masks.extend([0] * len(clauses))
 
     def new_var(self, aux=False) -> int:
         self.var_count += 1
@@ -556,16 +574,14 @@ class Skeleton:
         args = [self.tseitin(child) for child in node[1]]
         gate = self.new_var(aux=True)
         if kind == "and":
-            for lit in args:
-                self.clauses.append([-gate, lit])
-            self.clauses.append([gate] + [-lit for lit in args])
+            self._define([[-gate, lit] for lit in args])
+            self._define([[gate] + [-lit for lit in args]])
         elif kind == "or":
-            for lit in args:
-                self.clauses.append([gate, -lit])
-            self.clauses.append([-gate] + args)
+            self._define([[gate, -lit] for lit in args])
+            self._define([[-gate] + args])
         elif kind == "iff":
             a, b = args
-            self.clauses.extend(
+            self._define(
                 [[-gate, -a, b], [-gate, a, -b], [gate, a, b], [gate, -a, -b]]
             )
         else:
@@ -758,15 +774,26 @@ class Dpll:
     heuristic.  One Simplex follows the search: every assigned atom is
     asserted into it, backjumping takes its bounds back, and it is checked
     before each decision.  Theory conflicts become learned clauses the
-    same way boolean conflicts do."""
+    same way boolean conflicts do.
+
+    Every clause carries the mask of the root assertions it follows from
+    (Zhang and Malik, "Extracting Small Unsatisfiable Cores from
+    Satisfiable Formulas", SAT 2003): a theory lemma has mask 0, a learned
+    clause the union of the clauses resolved into it.  A variable assigned
+    at level 0 carries the mask of its reason and of the reason's other
+    literals, so after an unsat answer `core` is the mask of the final
+    level-0 conflict."""
 
     def __init__(self, skeleton: Skeleton):
         self.sk = skeleton
         self.nvars = skeleton.var_count
         self.clauses: list = [list(c) for c in skeleton.clauses]
+        self.masks: list = list(skeleton.masks)
+        self.core = 0
         self.assign: dict = {}
         self.level: dict = {}
         self.reason: dict = {}  # var -> clause index (None for decisions)
+        self.root_mask: dict = {}  # var assigned at level 0 -> its mask
         self.trail: list = []
         # (trail length, theory undo-log length) at each decision level
         self.level_marks: list = []
@@ -787,9 +814,10 @@ class Dpll:
     def decision_level(self) -> int:
         return len(self.level_marks)
 
-    def _add_clause(self, clause) -> int:
+    def _add_clause(self, clause, mask: int = 0) -> int:
         index = len(self.clauses)
         self.clauses.append(list(clause))
+        self.masks.append(mask)
         for lit in clause:
             self.occ.setdefault(lit, []).append(index)
         return index
@@ -800,6 +828,13 @@ class Dpll:
         self.reason[var] = reason
         self.trail.append(var)
         self.queue.append(var)
+        if not self.level_marks:
+            # The reason's other literals are false at level 0 already.
+            mask = self.masks[reason]
+            for lit in self.clauses[reason]:
+                if abs(lit) != var:
+                    mask |= self.root_mask[abs(lit)]
+            self.root_mask[var] = mask
         if var in self.theory.atoms:
             self.theory.assert_lit(var if value else -var)
 
@@ -868,12 +903,17 @@ class Dpll:
             self.bump *= 1e-100
 
     def _analyze(self, conflict_index):
-        """1UIP learning.  Returns (learned clause, backjump level) or None
-        when the conflict is at level zero (unsat)."""
+        """1UIP learning.  Returns (learned clause, backjump level, mask)
+        or None when the conflict is at level zero (unsat; its mask is
+        then left in self.core)."""
         self.conflicts += 1
         conflict = self.clauses[conflict_index]
+        mask = self.masks[conflict_index]
         top = max((self.level[abs(l)] for l in conflict), default=0)
         if top == 0:
+            for lit in conflict:
+                mask |= self.root_mask[abs(lit)]
+            self.core = mask
             return None
         if top < self.decision_level:
             self._backjump(top)
@@ -885,7 +925,10 @@ class Dpll:
         while True:
             for lit in clause:
                 var = abs(lit)
-                if var in seen or self.level[var] == 0:
+                if var in seen:
+                    continue
+                if self.level[var] == 0:
+                    mask |= self.root_mask[var]
                     continue
                 seen.add(var)
                 self._bump(var)
@@ -904,19 +947,20 @@ class Dpll:
                 uip = -var if self.assign[var] else var
                 learned.insert(0, uip)
                 break
+            mask |= self.masks[self.reason[var]]
             clause = [l for l in self.clauses[self.reason[var]] if abs(l) != var]
         self.bump *= 1.05
         if len(learned) == 1:
-            return learned, 0
+            return learned, 0, mask
         back = max(self.level[abs(l)] for l in learned[1:])
-        return learned, back
+        return learned, back, mask
 
     def _handle_conflict(self, conflict_index) -> bool:
         result = self._analyze(conflict_index)
         if result is None:
             return False
-        learned, back = result
-        index = self._add_clause(learned)
+        learned, back, mask = result
+        index = self._add_clause(learned, mask)
         self._backjump(back)
         self._set(abs(learned[0]), learned[0] > 0, index)
         follow = self._propagate()
@@ -924,8 +968,8 @@ class Dpll:
             result = self._analyze(follow)
             if result is None:
                 return False
-            learned, back = result
-            index = self._add_clause(learned)
+            learned, back, mask = result
+            index = self._add_clause(learned, mask)
             self._backjump(back)
             self._set(abs(learned[0]), learned[0] > 0, index)
             follow = self._propagate()
@@ -1007,10 +1051,10 @@ class RefSolver:
         self.out = out or sys.stdout
         self.sorts: dict = {}
         self.decl_order: list = []
-        self.frames: list = [[]]
-        self.auto_names = 0
+        self.frames: list = [[]]  # per push level: (name or None, term)
         self.last_status = None
         self.last_model: dict = {}
+        self.last_core: list = []
         self.last_stats: dict = {}
 
     def _print(self, text: str) -> None:
@@ -1034,6 +1078,10 @@ class RefSolver:
         if head in ("set-option", "set-info", "set-logic"):
             return True
         if head in ("declare-const", "declare-fun"):
+            arity = 3 if head == "declare-const" else 4
+            if len(sexp) != arity or not isinstance(sexp[1], str):
+                self._error(f"malformed {head}")
+                return True
             name = _unquote(sexp[1])
             sort = sexp[-1]
             if head == "declare-fun" and sexp[2] != []:
@@ -1047,28 +1095,34 @@ class RefSolver:
             self.sorts[name] = "Bool" if sort == "Bool" else "Real"
             return True
         if head == "assert":
+            if len(sexp) != 2:
+                self._error("malformed assert")
+                return True
             term = sexp[1]
             name = None
             if isinstance(term, list) and term[:1] == ["!"]:
-                for i, item in enumerate(term):
-                    if item == ":named":
-                        name = _unquote(term[i + 1])
+                names = [value for key, value in zip(term[2:], term[3:] + [None])
+                         if key == ":named"]
+                if len(term) < 2 or not all(isinstance(n, str) for n in names):
+                    self._error("malformed annotation")
+                    return True
+                if names:
+                    name = _unquote(names[-1])
                 term = term[1]
-            if name is None:
-                self.auto_names += 1
-                name = f"_a{self.auto_names}"
             self.frames[-1].append((name, term))
             return True
-        if head == "push":
-            count = int(sexp[1]) if len(sexp) > 1 else 1
-            for _ in range(count):
-                self.frames.append([])
-            return True
-        if head == "pop":
-            count = int(sexp[1]) if len(sexp) > 1 else 1
-            for _ in range(count):
-                if len(self.frames) > 1:
-                    self.frames.pop()
+        if head in ("push", "pop"):
+            args = sexp[1:] or ["1"]
+            if len(args) != 1 or not isinstance(args[0], str) or not args[0].isdigit():
+                self._error(f"{head} takes one numeral")
+                return True
+            levels = int(args[0])
+            if head == "push":
+                self.frames.extend([] for _ in range(levels))
+            elif levels < len(self.frames):
+                del self.frames[len(self.frames) - levels:]
+            else:
+                self._error(f"cannot pop {levels} of {len(self.frames) - 1} levels")
             return True
         if head == "check-sat":
             self._check_sat()
@@ -1099,15 +1153,17 @@ class RefSolver:
         self.last_stats = dict.fromkeys(STATISTICS, 0)
         translator = Translator(self.sorts, skeleton)
         try:
-            roots = []
-            for _, term in self._assertions():
+            # Root j of the skeleton is the assertion named names[j].
+            roots, names = [], []
+            for name, term in self._assertions():
                 node = translator.to_bool(term)
                 if node == FALSE:
-                    roots = None
-                    break
+                    self._unsat([name], 1)
+                    return
                 if node == TRUE:
                     continue
                 roots.append(node)
+                names.append(name)
         except Nonlinear:
             self.last_status = "unknown"
             self._print("unknown")
@@ -1118,16 +1174,15 @@ class RefSolver:
             self._print("unknown")
             return
 
-        if roots is None:
-            self.last_status = "unsat"
-            self._print("unsat")
-            return
-        for node in roots:
-            skeleton.clauses.append([skeleton.tseitin(node)])
+        for index, node in enumerate(roots):
+            skeleton.assert_root(node, index)
         dpll = Dpll(skeleton)
         status = dpll.solve()
-        self.last_status = status
         self.last_stats = dpll.statistics()
+        if status == "unsat":
+            self._unsat(names, dpll.core)
+            return
+        self.last_status = status
         if status == "sat":
             self.last_model = {}
             for name in self.decl_order:
@@ -1139,6 +1194,15 @@ class RefSolver:
                 else:
                     self.last_model[name] = dpll.real_model.get(name, Fraction(0))
         self._print(status)
+
+    def _unsat(self, names: list, mask: int) -> None:
+        """Answer unsat; the core is the named assertions among names[j]
+        for the bits j of mask."""
+        bits = format(mask, "b")[::-1]
+        self.last_core = [name for name, bit in zip(names, bits)
+                          if bit == "1" and name is not None]
+        self.last_status = "unsat"
+        self._print("unsat")
 
     def _get_model(self) -> None:
         if self.last_status != "sat":
@@ -1160,7 +1224,7 @@ class RefSolver:
         if self.last_status != "unsat":
             self._error("unsat core is not available")
             return
-        names = " ".join(_quote(name) for name, _ in self._assertions())
+        names = " ".join(_quote(name) for name in self.last_core)
         self._print(f"({names})")
 
 

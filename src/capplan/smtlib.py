@@ -337,8 +337,11 @@ def solve(text: str, config: SolverConfig) -> SolveOutcome:
 def minimize_core(encoding: Encoding, core: list, config: SolverConfig) -> list:
     """Deletion-based core minimization via repeated one-shot solves.
 
-    The result is a minimal unsatisfiable subset: dropping any single
-    member makes the remainder satisfiable.
+    Starting from the solver's core, each member in turn is dropped and
+    the rest re-solved; when that trial is unsat, its own core prunes the
+    candidates still to be tried, so a solver with small cores needs few
+    solves.  The result is a minimal unsatisfiable subset: dropping any
+    single member makes the remainder satisfiable.
     """
     kept = [name for name in core if name in encoding.by_name]
     for name in list(kept):

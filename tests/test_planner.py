@@ -138,6 +138,18 @@ def test_explanation_of_contradictory_boundaries():
     }
 
 
+def test_raw_core_of_contradictory_boundaries_is_a_proper_subset():
+    model = fixtures.contradictory_model()
+    result = plan(model, 1, _config())
+    assert isinstance(result, NoPlanFound)
+    names = [a.name for a in result.last_encoding.assertions]
+    assert set(result.last_core) < set(names)
+    assert {"init.CurrentProductPosition",
+            "init.RequestedPositionBefore"} <= set(result.last_core)
+    restricted = emit(result.last_encoding.restricted(result.last_core))
+    assert solve(restricted, _config().solver).is_unsat
+
+
 def test_explain_without_core_raises():
     no_plan = NoPlanFound(outcomes=(), all_unsat=False)
     with pytest.raises(CoresUnavailable):

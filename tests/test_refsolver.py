@@ -292,3 +292,115 @@ def test_all_statistics_describe_the_last_check_sat():
     # A check-sat decided while translating reports zero counts.
     out = run_inprocess("(assert false)(check-sat)(get-info :all-statistics)")
     assert parse_sexprs(out)[1][1::2] == ["0"] * 6
+
+
+# -- unsat cores ----------------------------------------------------------------
+
+
+def _core(out: str) -> list:
+    from capplan.smtlib import parse_sexprs
+
+    nodes = parse_sexprs(out)
+    assert nodes[0] == "unsat", out
+    return nodes[1]
+
+
+def test_core_lists_only_named_assertions():
+    out = run_inprocess(
+        "(declare-const x Real)"
+        "(assert (< x 0.0))(assert (> x 1.0))(assert (! (= x 3.0) :named n))"
+        "(check-sat)(get-unsat-core)"
+    )
+    assert _core(out) == []
+    out = run_inprocess(
+        "(declare-const x Real)"
+        "(assert (< x 0.0))(assert (! (> x 1.0) :named m))(assert (! (= x 3.0) :named n))"
+        "(check-sat)(get-unsat-core)"
+    )
+    assert _core(out) == ["m"]
+
+
+def test_theory_conflict_at_level_zero_names_its_bounds_only():
+    out = run_inprocess(
+        "(declare-const x Real)(declare-const y Real)"
+        "(assert (! (< x 1.0) :named a))(assert (! (= y 0.0) :named c))"
+        "(assert (! (> (+ x y) 2.0) :named b))(assert (! (<= y 5.0) :named d))"
+        "(check-sat)(get-unsat-core)(get-info :all-statistics)"
+    )
+    assert _core(out) == ["a", "c", "b"]
+    stats = out.splitlines()[-1]
+    assert ":decisions 0 " in stats and ":theory-conflicts 1 " in stats
+
+
+def test_core_through_a_learned_unit_clause():
+    # No clause is unit at level 0.  Deciding a = false falsifies (or a b) /
+    # (or a (not b)), which teaches the unit clause a; with a true at level
+    # 0, (or (not a) c) and (or (not a) (not c)) conflict.  The core must
+    # carry the learned unit's origins, and never the unrelated (or d e).
+    out = run_inprocess(
+        "(declare-const a Bool)(declare-const b Bool)(declare-const c Bool)"
+        "(declare-const d Bool)(declare-const e Bool)"
+        "(assert (! (or d e) :named p0))(assert (! (or a b) :named p1))"
+        "(assert (! (or a (not b)) :named p2))(assert (! (or (not a) c) :named p3))"
+        "(assert (! (or (not a) (not c)) :named p4))"
+        "(check-sat)(get-unsat-core)(get-info :all-statistics)"
+    )
+    assert _core(out) == ["p1", "p2", "p3", "p4"]
+    assert ":learned-clauses 1 " in out.splitlines()[-1]
+
+
+def test_cores_on_the_random_suite_are_unsat_and_smaller():
+    from capplan.encoder import build
+    from capplan.smtlib import emit, parse_answer
+    from capplan.synonymy import build_index
+
+    core_total = assertion_total = 0
+    for seed in range(110):
+        model = fixtures.random_model(seed)
+        index = build_index(model)
+        for bound in range(3):
+            encoding = build(model, index, bound)
+            outcome = parse_answer(run_inprocess(emit(encoding)), expect_core=True)
+            if not outcome.is_unsat:
+                continue
+            assert outcome.core and set(outcome.core) <= set(encoding.by_name)
+            again = run_inprocess(emit(encoding.restricted(outcome.core)))
+            assert again.startswith("unsat"), (seed, bound, outcome.core)
+            core_total += len(outcome.core)
+            assertion_total += len(encoding.assertions)
+    assert assertion_total and core_total < assertion_total / 2
+
+
+def test_core_never_names_a_popped_assertion():
+    from capplan.smtlib import SmtProcess, SolverConfig
+
+    process = SmtProcess(SolverConfig(command=fixtures.REFSOLVER_CMD, timeout_seconds=60))
+    try:
+        first = process.exchange(
+            "(set-option :produce-unsat-cores true)(set-logic QF_LRA)"
+            "(declare-const x Real)(assert (! (>= x 0.0) :named base))"
+            "(push 1)(assert (! (< x 0.0) :named g1))\n"
+        )
+        second = process.exchange(
+            "(pop 1)(push 1)(assert (! (< x 5.0) :named g2))"
+            "(assert (! (> x 7.0) :named g3))\n"
+        )
+    finally:
+        process.close()
+    assert first.is_unsat and first.core == ["base", "g1"]
+    assert second.is_unsat and second.core == ["g2", "g3"]
+
+
+def test_malformed_commands_answer_errors_and_reading_goes_on():
+    script = (
+        "(push x)\n(declare-fun)\n(pop -1)\n(pop 1)\n(declare-const)\n(assert)\n"
+        "(assert (! true :named))\n(declare-const x Real)\n(assert (! (> x 1.0) :named n))\n"
+        "(check-sat)\n(get-model)\n"
+    )
+    completed = subprocess.run(fixtures.REFSOLVER_CMD, input=script.encode(),
+                               capture_output=True, timeout=60)
+    assert completed.returncode == 0
+    assert completed.stderr == b""
+    lines = completed.stdout.decode().splitlines()
+    assert [line.split()[0] for line in lines[:7]] == ["(error"] * 7
+    assert lines[7] == "sat"
