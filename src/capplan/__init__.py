@@ -5,60 +5,58 @@ inputs/outputs, one required capability), compute synonymy classes, encode
 bounded happenings as an SMT-LIB2 problem, solve by iterative deepening
 with any external solver, and either extract a minimal-length plan with
 concrete parameter values or explain the failure from an unsat core.
+
+The public names below load their submodule on first use (PEP 562), so
+importing one submodule does not import the rest.  A spawned reference
+solver (`python -m capplan.refsolver`) thus loads only itself, which keeps
+each solver call's start-up small.
 """
 
-from .encoder import Encoding, build, declare_variables
-from .errors import CapPlanError
-from .model import (
-    CapabilityModel,
-    load_model,
-    merge_documents,
-    parse_model,
-    partition_properties,
-    serialize_model,
-    validate,
-)
-from .oracle import brute_force_plan, simulate
-from .planner import NoPlanFound, Plan, PlannerConfig, explain, extract_plan, plan
-from .smtlib import SolverConfig, SolveOutcome, emit, minimize_core, solve
-from .synonymy import (
-    SynonymyIndex,
-    build_index,
-    effect_sets,
-    synonymous_products,
-    synonymous_properties,
-)
+import importlib
 
-__all__ = [
-    "CapPlanError",
-    "CapabilityModel",
-    "Encoding",
-    "NoPlanFound",
-    "Plan",
-    "PlannerConfig",
-    "SolveOutcome",
-    "SolverConfig",
-    "SynonymyIndex",
-    "brute_force_plan",
-    "build",
-    "build_index",
-    "declare_variables",
-    "effect_sets",
-    "emit",
-    "explain",
-    "extract_plan",
-    "load_model",
-    "merge_documents",
-    "minimize_core",
-    "parse_model",
-    "partition_properties",
-    "plan",
-    "serialize_model",
-    "simulate",
-    "solve",
-    "synonymous_products",
-    "synonymous_properties",
-    "validate",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "Encoding": "encoder",
+    "build": "encoder",
+    "declare_variables": "encoder",
+    "CapPlanError": "errors",
+    "CapabilityModel": "model",
+    "load_model": "model",
+    "merge_documents": "model",
+    "parse_model": "model",
+    "partition_properties": "model",
+    "serialize_model": "model",
+    "validate": "model",
+    "brute_force_plan": "oracle",
+    "simulate": "oracle",
+    "NoPlanFound": "planner",
+    "Plan": "planner",
+    "PlannerConfig": "planner",
+    "explain": "planner",
+    "extract_plan": "planner",
+    "plan": "planner",
+    "SolverConfig": "smtlib",
+    "SolveOutcome": "smtlib",
+    "emit": "smtlib",
+    "minimize_core": "smtlib",
+    "solve": "smtlib",
+    "SynonymyIndex": "synonymy",
+    "build_index": "synonymy",
+    "effect_sets": "synonymy",
+    "synonymous_products": "synonymy",
+    "synonymous_properties": "synonymy",
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{submodule}", __name__), name)
+    globals()[name] = value
+    return value

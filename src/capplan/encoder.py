@@ -32,7 +32,7 @@ from .synonymy import SynonymyIndex, affecting_capabilities, mutex_pairs
 _SIMPLE_SYMBOL = re.compile(r"[a-zA-Z0-9~!@$%^&*_\-+=<>.?/]+$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VariableKey:
     """Identity of one SMT variable: a state at (happening, layer) or a
     capability at a happening."""
@@ -50,7 +50,7 @@ class VariableKey:
         return f"{self.ident}#t{self.t}#l{self.layer}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assertion:
     name: str
     term: ex.Expression
@@ -120,6 +120,7 @@ class _Builder:
         self.names = _Names()
         self.assertions: list = []
         self.variables: dict = {}
+        self.refs: dict = {}  # (kind, ident, t, layer) -> ex.Ref
         if expanded:
             self.state_ids = tuple(sorted(model.properties))
         else:
@@ -151,14 +152,23 @@ class _Builder:
             raise UnsupportedExpression(f"variable symbol collision: {key.symbol}")
         self.variables[key.symbol] = key
 
+    def _ref(self, kind: str, ident: str, t: int, layer: Optional[int]) -> ex.Ref:
+        # Terms are immutable, so every reference to one variable shares a
+        # single Ref.
+        key = (kind, ident, t, layer)
+        node = self.refs.get(key)
+        if node is None:
+            node = self.refs[key] = ex.ref(VariableKey(kind, ident, t, layer).symbol)
+        return node
+
     def prop(self, property_id: str, t: int, layer: int) -> ex.Ref:
-        return ex.ref(VariableKey("prop", self.state_of(property_id), t, layer).symbol)
+        return self._ref("prop", self.state_of(property_id), t, layer)
 
     def state_ref(self, state_id: str, t: int, layer: int) -> ex.Ref:
-        return ex.ref(VariableKey("prop", state_id, t, layer).symbol)
+        return self._ref("prop", state_id, t, layer)
 
     def cap(self, capability_id: str, t: int) -> ex.Ref:
-        return ex.ref(VariableKey("cap", capability_id, t).symbol)
+        return self._ref("cap", capability_id, t, None)
 
     def emit(self, term: ex.Expression, family: str, element_id: str,
              t: Optional[int], *name_parts, retractable: bool = False) -> None:

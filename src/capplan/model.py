@@ -43,7 +43,7 @@ class CapabilityKind(Enum):
     REQUIRED = "required"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeDescription:
     id: str
     datatype: Datatype
@@ -51,14 +51,14 @@ class TypeDescription:
     label: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceDescription:
     goal: ExpressionGoal
     relation: Relation = Relation.EQ
     value: Union[bool, Fraction, None] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Property:
     id: str
     type_description: TypeDescription
@@ -82,27 +82,27 @@ class Property:
         return self.with_goal(ExpressionGoal.ACTUAL_VALUE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product:
     id: str
     product_type_id: str
     properties: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Resource:
     id: str
     properties: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InformationEntity:
     id: str
     type_id: str
     properties: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapabilityPort:
     """One input or output entry: an entity and the properties used there."""
 
@@ -110,7 +110,7 @@ class CapabilityPort:
     property_ids: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Capability:
     id: str
     kind: CapabilityKind
@@ -128,7 +128,7 @@ class Capability:
         return self.input_property_ids() | self.output_property_ids()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapabilityModel:
     type_descriptions: dict
     products: dict
@@ -157,7 +157,7 @@ class CapabilityModel:
         raise KeyError(capability_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     code: str
     element_id: str

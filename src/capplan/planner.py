@@ -39,14 +39,14 @@ from .smtlib import (
 from .synonymy import build_index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Happening:
     applied: tuple
     layer0: dict
     layer1: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plan:
     happenings: tuple
     bound_happenings: int
@@ -54,7 +54,7 @@ class Plan:
     parameters: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundOutcome:
     bound: int
     status: str
@@ -70,7 +70,7 @@ class NoPlanFound:
     last_encoding: Optional[Encoding] = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExplanationElement:
     name: str
     family: str
@@ -79,7 +79,7 @@ class ExplanationElement:
     rendering: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Explanation:
     core_names: tuple
     elements: tuple

@@ -26,6 +26,7 @@ console script.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 
@@ -43,9 +44,23 @@ class Nonlinear(Unsupported):
 # -- reading ------------------------------------------------------------------
 
 
+# One token per match, after any whitespace: a `;` comment (no group), a
+# parenthesis (group 1), an atom (group 2: a `|quoted symbol|`, a string
+# with `""` escapes, or a plain token), or an opening `|` or `"` whose
+# closing quote is not in the buffer yet (group 3).  A string must not be
+# followed by `"`, because `""` may continue it on the next line.
+_TOKEN = re.compile(
+    r'[ \t\r\n]*(?:;[^\n]*'
+    r'|([()])'
+    r'|(\|[^|]*\||"[^"]*(?:""[^"]*)*"(?!")|[^ \t\r\n();|"]+)'
+    r'|([|"]))'
+)
+
+
 class SexpReader:
     """Incremental S-expression reader so the solver also works
-    interactively (push/pop driving)."""
+    interactively (push/pop driving): it reads one line at a time and
+    returns as soon as an expression is complete."""
 
     def __init__(self, stream):
         self.stream = stream
@@ -60,78 +75,41 @@ class SexpReader:
         self.pos = 0
         return True
 
-    def _peek(self):
-        while True:
-            if self.pos < len(self.buf):
-                return self.buf[self.pos]
-            if not self._fill():
-                return None
-
-    def _next(self):
-        c = self._peek()
-        if c is not None:
-            self.pos += 1
-        return c
-
-    def _skip_noise(self):
-        while True:
-            c = self._peek()
-            if c is None:
-                return
-            if c in " \t\r\n":
-                self.pos += 1
-            elif c == ";":
-                while c is not None and c != "\n":
-                    c = self._next()
-            else:
-                return
-
     def read(self):
-        """Return the next S-expression (nested lists/str) or None at EOF."""
-        self._skip_noise()
-        c = self._peek()
-        if c is None:
-            return None
-        if c == "(":
-            self._next()
-            items = []
-            while True:
-                self._skip_noise()
-                c = self._peek()
-                if c is None:
-                    raise Unsupported("unexpected end of input inside (")
-                if c == ")":
-                    self._next()
-                    return items
-                items.append(self.read())
-        if c == ")":
-            raise Unsupported("unbalanced )")
-        if c == "|":
-            self._next()
-            out = []
-            while True:
-                c = self._next()
-                if c is None:
-                    raise Unsupported("unterminated quoted symbol")
-                if c == "|":
-                    return "|" + "".join(out) + "|"
-                out.append(c)
-        if c == '"':
-            self._next()
-            out = ['"']
-            while True:
-                c = self._next()
-                if c is None:
-                    raise Unsupported("unterminated string")
-                out.append(c)
-                if c == '"':
-                    return "".join(out)
-        out = []
+        """Return the next S-expression (nested lists/str) or None at EOF.
+
+        A reading error consumes the offending input, so the next call
+        goes on after it."""
+        open_lists = []
         while True:
-            c = self._peek()
-            if c is None or c in " \t\r\n();|\"":
-                return "".join(out)
-            out.append(self._next())
+            match = _TOKEN.match(self.buf, self.pos)
+            if match is None:
+                if self._fill():
+                    continue
+                if open_lists:
+                    raise Unsupported("unexpected end of input inside (")
+                return None
+            paren, atom, quote = match.groups()
+            if quote is not None:
+                if self._fill():
+                    continue
+                self.pos = len(self.buf)
+                raise Unsupported(
+                    "unterminated quoted symbol" if quote == "|" else "unterminated string"
+                )
+            self.pos = match.end()
+            if paren == "(":
+                open_lists.append([])
+                continue
+            if paren == ")":
+                if not open_lists:
+                    raise Unsupported("unbalanced )")
+                atom = open_lists.pop()
+            elif atom is None:
+                continue
+            if not open_lists:
+                return atom
+            open_lists[-1].append(atom)
 
 
 def _unquote(symbol: str) -> str:
@@ -1236,10 +1214,8 @@ def main() -> int:
             sexp = reader.read()
         except Unsupported as exc:
             solver._error(str(exc))
-            return 1
-        if sexp is None:
-            return 0
-        if not solver.execute(sexp):
+            continue
+        if sexp is None or not solver.execute(sexp):
             return 0
 
 

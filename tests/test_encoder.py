@@ -51,6 +51,27 @@ def test_variable_count_law():
             assert len(encoding.variables) == expected
 
 
+@pytest.mark.parametrize("expanded", [False, True])
+def test_references_to_one_variable_share_one_ref(expanded):
+    model = fixtures.transport_model()
+    encoding = build(model, build_index(model), 2, expanded=expanded)
+    nodes: dict = {}
+    uses: dict = {}
+
+    def walk(node):
+        if isinstance(node, ex.Ref):
+            nodes.setdefault(node.property_id, set()).add(id(node))
+            uses[node.property_id] = uses.get(node.property_id, 0) + 1
+        elif isinstance(node, ex.Apply):
+            for arg in node.args:
+                walk(arg)
+
+    for assertion in encoding.assertions:
+        walk(assertion.term)
+    assert max(uses.values()) > 1
+    assert all(len(ids) == 1 for ids in nodes.values())
+
+
 def test_expanded_variable_count():
     model = fixtures.transport_model()
     index = build_index(model)

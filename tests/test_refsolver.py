@@ -2,6 +2,7 @@ import io
 import subprocess
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -197,6 +198,54 @@ def test_quoted_symbols():
         "(assert (= |pos#t0#l0| 2.0))(check-sat)(get-model)"
     )
     assert "(define-fun |pos#t0#l0| () Real 2.0)" in out
+
+
+class _Lines:
+    """A stream that serves the given lines one readline at a time."""
+
+    def __init__(self, lines):
+        self.lines = lines
+        self.served = 0
+
+    def readline(self):
+        if self.served == len(self.lines):
+            return ""
+        self.served += 1
+        return self.lines[self.served - 1]
+
+
+def test_quoted_symbols_strings_and_comments_across_line_breaks():
+    # `;` inside a quoted symbol starts no comment, `|`, `(` and `"` inside a
+    # comment start nothing, and `""` inside a string is an escaped quote.
+    stream = _Lines([
+        "(declare-const |a ; b\n",
+        'c| Real) ; a | comment ( " \n',
+        "(assert (! (> |a ; b\n",
+        'c| 1.0) :named n)) (echo "x""\n',
+        'y")\n',
+    ])
+    reader = SexpReader(stream)
+    assert reader.read() == ["declare-const", "|a ; b\nc|", "Real"]
+    # A complete command is returned before the next line is read.
+    assert stream.served == 2
+    assert reader.read() == ["assert", ["!", [">", "|a ; b\nc|", "1.0"], ":named", "n"]]
+    assert stream.served == 4
+    assert reader.read() == ["echo", '"x""\ny"']
+    assert reader.read() is None
+
+
+@pytest.mark.parametrize("script, answers", [
+    ("(check-sat))\n(check-sat)\n", ["sat", '(error "unbalanced )")', "sat"]),
+    ('(check-sat)\n(echo "open\n', ["sat", '(error "unterminated string")']),
+    ("(check-sat)\n(declare-const |open Real)\n",
+     ["sat", '(error "unterminated quoted symbol")']),
+])
+def test_reading_errors_answer_an_error_and_reading_goes_on(script, answers):
+    completed = subprocess.run(fixtures.REFSOLVER_CMD, input=script.encode(),
+                               capture_output=True, timeout=60)
+    assert completed.stdout.decode().splitlines() == answers
+    assert completed.returncode == 0
+    assert completed.stderr == b""
 
 
 def test_disequality_via_not_equals():
