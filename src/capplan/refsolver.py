@@ -17,6 +17,11 @@ assertions that the final level-0 conflict depends on.  Such a core is
 unsat on its own but not necessarily minimal; clients that want a minimal
 core shrink it themselves by deletion.
 
+Scripts are read, and symbols quoted, with `capplan.sexp`, the one
+S-expression reader the client also reads answers with; it is the only
+other module loaded.  A reading error answers `(error …)` and reading
+goes on after it.
+
 Limitations, by design: no uninterpreted functions, no quantifiers, and
 nonlinear arithmetic answers `unknown`.
 
@@ -26,9 +31,10 @@ console script.
 
 from __future__ import annotations
 
-import re
 import sys
 from fractions import Fraction
+
+from .sexp import SexpError, SexpReader, quote, unquote
 
 EQ, LE, LT, NE = "eq", "le", "lt", "ne"
 
@@ -39,93 +45,6 @@ class Unsupported(Exception):
 
 class Nonlinear(Unsupported):
     pass
-
-
-# -- reading ------------------------------------------------------------------
-
-
-# One token per match, after any whitespace: a `;` comment (no group), a
-# parenthesis (group 1), an atom (group 2: a `|quoted symbol|`, a string
-# with `""` escapes, or a plain token), or an opening `|` or `"` whose
-# closing quote is not in the buffer yet (group 3).  A string must not be
-# followed by `"`, because `""` may continue it on the next line.
-_TOKEN = re.compile(
-    r'[ \t\r\n]*(?:;[^\n]*'
-    r'|([()])'
-    r'|(\|[^|]*\||"[^"]*(?:""[^"]*)*"(?!")|[^ \t\r\n();|"]+)'
-    r'|([|"]))'
-)
-
-
-class SexpReader:
-    """Incremental S-expression reader so the solver also works
-    interactively (push/pop driving): it reads one line at a time and
-    returns as soon as an expression is complete."""
-
-    def __init__(self, stream):
-        self.stream = stream
-        self.buf = ""
-        self.pos = 0
-
-    def _fill(self) -> bool:
-        line = self.stream.readline()
-        if not line:
-            return False
-        self.buf = self.buf[self.pos :] + line
-        self.pos = 0
-        return True
-
-    def read(self):
-        """Return the next S-expression (nested lists/str) or None at EOF.
-
-        A reading error consumes the offending input, so the next call
-        goes on after it."""
-        open_lists = []
-        while True:
-            match = _TOKEN.match(self.buf, self.pos)
-            if match is None:
-                if self._fill():
-                    continue
-                if open_lists:
-                    raise Unsupported("unexpected end of input inside (")
-                return None
-            paren, atom, quote = match.groups()
-            if quote is not None:
-                if self._fill():
-                    continue
-                self.pos = len(self.buf)
-                raise Unsupported(
-                    "unterminated quoted symbol" if quote == "|" else "unterminated string"
-                )
-            self.pos = match.end()
-            if paren == "(":
-                open_lists.append([])
-                continue
-            if paren == ")":
-                if not open_lists:
-                    raise Unsupported("unbalanced )")
-                atom = open_lists.pop()
-            elif atom is None:
-                continue
-            if not open_lists:
-                return atom
-            open_lists[-1].append(atom)
-
-
-def _unquote(symbol: str) -> str:
-    if symbol.startswith("|") and symbol.endswith("|"):
-        return symbol[1:-1]
-    return symbol
-
-
-def _quote(name: str) -> str:
-    simple = set(
-        "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-        "~!@$%^&*_-+=<>.?/"
-    )
-    if name and all(c in simple for c in name) and not name[0].isdigit():
-        return name
-    return f"|{name}|"
 
 
 # -- linear arithmetic --------------------------------------------------------
@@ -614,7 +533,7 @@ class Translator:
 
     def sort_of(self, node) -> str:
         if isinstance(node, str):
-            name = _unquote(node)
+            name = unquote(node)
             if name in ("true", "false"):
                 return "Bool"
             if name in self.sorts:
@@ -629,7 +548,7 @@ class Translator:
 
     def to_bool(self, node):
         if isinstance(node, str):
-            name = _unquote(node)
+            name = unquote(node)
             if name == "true":
                 return TRUE
             if name == "false":
@@ -690,7 +609,7 @@ class Translator:
 
     def to_lin(self, node) -> Lin:
         if isinstance(node, str):
-            name = _unquote(node)
+            name = unquote(node)
             if name in self.sorts:
                 if self.sorts[name] != "Real":
                     raise Unsupported(f"boolean {name!r} in arithmetic")
@@ -1060,7 +979,7 @@ class RefSolver:
             if len(sexp) != arity or not isinstance(sexp[1], str):
                 self._error(f"malformed {head}")
                 return True
-            name = _unquote(sexp[1])
+            name = unquote(sexp[1])
             sort = sexp[-1]
             if head == "declare-fun" and sexp[2] != []:
                 self._error("only zero-arity declare-fun is supported")
@@ -1085,7 +1004,7 @@ class RefSolver:
                     self._error("malformed annotation")
                     return True
                 if names:
-                    name = _unquote(names[-1])
+                    name = unquote(names[-1])
                 term = term[1]
             self.frames[-1].append((name, term))
             return True
@@ -1193,7 +1112,7 @@ class RefSolver:
                 name, False if sort == "Bool" else Fraction(0)
             )
             lines.append(
-                f"  (define-fun {_quote(name)} () {sort} {_format_value(value)})"
+                f"  (define-fun {quote(name)} () {sort} {_format_value(value)})"
             )
         lines.append(")")
         self._print("\n".join(lines))
@@ -1202,7 +1121,7 @@ class RefSolver:
         if self.last_status != "unsat":
             self._error("unsat core is not available")
             return
-        names = " ".join(_quote(name) for name in self.last_core)
+        names = " ".join(quote(name) for name in self.last_core)
         self._print(f"({names})")
 
 
@@ -1212,7 +1131,7 @@ def main() -> int:
     while True:
         try:
             sexp = reader.read()
-        except Unsupported as exc:
+        except SexpError as exc:
             solver._error(str(exc))
             continue
         if sexp is None or not solver.execute(sexp):

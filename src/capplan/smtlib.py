@@ -6,12 +6,19 @@ core, unknown) is parsed back: by solve(), one process per script, or
 by SmtProcess, one process for push/pop solving.  Values are kept as
 exact rationals throughout, so a model can be rechecked against the
 oracle without float drift.
+
+Answers are read with `capplan.sexp`, the one S-expression reader the
+reference solver also reads scripts with, and both paths interpret its
+nodes alike: the first node that is not an `(error …)` or `unsupported`
+is the status, an `(error …)` may span lines, and the model or core is
+read from the nodes after it.  SmtProcess feeds each pipe chunk to the
+reader and stops at the first complete node it needs; an answer left
+unfinished by a live solver waits for the rest until the timeout.
 """
 
 from __future__ import annotations
 
 import codecs
-import re
 import select
 import shlex
 import subprocess
@@ -25,6 +32,7 @@ from . import expr as ex
 from .encoder import Encoding
 from .errors import SolverLaunchError, SolverProtocolError
 from .model import Datatype
+from .sexp import Reader, SexpError, parse_sexprs, quote, unquote
 
 _SMT_OPS = {
     "plus": "+",
@@ -45,9 +53,6 @@ _SMT_OPS = {
 # Reasons recorded with an unknown outcome.
 SOLVER_UNKNOWN = "solver returned unknown"
 TIMEOUT = "timeout"
-
-_SIMPLE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-              "~!@$%^&*_-+=<>.?/")
 
 
 @dataclass
@@ -87,11 +92,9 @@ class SolveOutcome:
 
 
 def format_symbol(name: str) -> str:
-    if name and all(c in _SIMPLE for c in name) and not name[0].isdigit():
-        return name
     if "|" in name or "\\" in name:
         raise SolverProtocolError(f"symbol not representable in SMT-LIB: {name!r}")
-    return f"|{name}|"
+    return quote(name)
 
 
 def format_value(value) -> str:
@@ -168,68 +171,7 @@ def emit(encoding: Encoding, produce_cores: bool = True,
     return "\n".join(lines) + "\n"
 
 
-# -- S-expression reading ----------------------------------------------------
-
-def tokenize(text: str):
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield c
-            i += 1
-        elif c == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SolverProtocolError("unterminated quoted symbol in solver output")
-            yield text[i : j + 1]
-            i = j + 1
-        elif c == '"':
-            j = i + 1
-            while j < n:
-                if text[j] == '"' and j + 1 < n and text[j + 1] == '"':
-                    j += 2
-                elif text[j] == '"':
-                    break
-                else:
-                    j += 1
-            yield text[i : j + 1]
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();|\"":
-                j += 1
-            yield text[i:j]
-            i = j
-
-
-def parse_sexprs(text: str) -> list:
-    """Parse a whole solver answer into nested lists and atom strings."""
-    stack: list = [[]]
-    for token in tokenize(text):
-        if token == "(":
-            stack.append([])
-        elif token == ")":
-            if len(stack) == 1:
-                raise SolverProtocolError("unbalanced ')' in solver output")
-            done = stack.pop()
-            stack[-1].append(done)
-        else:
-            stack[-1].append(token)
-    if len(stack) != 1:
-        raise SolverProtocolError("unbalanced '(' in solver output")
-    return stack[0]
-
-
-def unquote(symbol: str) -> str:
-    if symbol.startswith("|") and symbol.endswith("|"):
-        return symbol[1:-1]
-    return symbol
-
+# -- answer reading --------------------------------------------------------
 
 def parse_value(node):
     """Parse a model value S-expression into a bool or exact Fraction."""
@@ -265,34 +207,51 @@ def _collect_define_funs(node, into: dict) -> None:
         _collect_define_funs(child, into)
 
 
-def parse_answer(text: str, expect_core: bool) -> SolveOutcome:
-    """Interpret solver stdout: status token, then model or core."""
-    nodes = parse_sexprs(text)
-    status = None
-    rest = []
+def _valuation(nodes) -> dict:
+    """The values of every define-fun in the answer nodes, at any depth."""
+    valuation: dict = {}
     for node in nodes:
-        if isinstance(node, list) and node[:1] == ["error"]:
-            continue
-        if status is None and node in ("sat", "unsat", "unknown"):
-            status = node
-            continue
-        if status is not None:
-            rest.append(node)
-    if status is None:
+        _collect_define_funs(node, valuation)
+    return valuation
+
+
+def _skipped(node) -> bool:
+    """A general response that answers no query: an (error ...), or the
+    `unsupported` a solver may give a set-option."""
+    return node == "unsupported" or isinstance(node, list) and node[:1] == ["error"]
+
+
+def _core(nodes) -> Optional[list]:
+    """The first list of symbols among the answer nodes, if any, unquoted;
+    an (error ...) is none."""
+    for node in nodes:
+        if (isinstance(node, list) and not _skipped(node)
+                and all(isinstance(x, str) for x in node)):
+            return [unquote(x) for x in node]
+    return None
+
+
+def _status(node) -> str:
+    if node not in ("sat", "unsat", "unknown"):
+        raise SolverProtocolError(f"unexpected check-sat answer {node!r}")
+    return node
+
+
+def parse_answer(text: str, expect_core: bool) -> SolveOutcome:
+    """Interpret a one-shot script's output as SmtProcess reads it: the
+    first node that is not skipped is the status, and the nodes after it
+    hold the model or the core."""
+    try:
+        nodes = [node for node in parse_sexprs(text) if not _skipped(node)]
+    except SexpError as exc:
+        raise SolverProtocolError(f"{exc} in solver output") from exc
+    if not nodes:
         raise SolverProtocolError(f"no sat/unsat/unknown in solver output: {text[:200]!r}")
+    status, rest = _status(nodes[0]), nodes[1:]
     if status == "sat":
-        valuation: dict = {}
-        for node in rest:
-            _collect_define_funs(node, valuation)
-        return SolveOutcome(status="sat", valuation=valuation)
+        return SolveOutcome(status="sat", valuation=_valuation(rest))
     if status == "unsat":
-        core = None
-        if expect_core:
-            for node in rest:
-                if isinstance(node, list) and all(isinstance(x, str) for x in node):
-                    core = [unquote(x) for x in node]
-                    break
-        return SolveOutcome(status="unsat", core=core)
+        return SolveOutcome(status="unsat", core=_core(rest) if expect_core else None)
     return SolveOutcome(status="unknown", reason=SOLVER_UNKNOWN)
 
 
@@ -357,68 +316,6 @@ def minimize_core(encoding: Encoding, core: list, config: SolverConfig) -> list:
     return sorted(kept, key=lambda n: order[n])
 
 
-class _StatusLine:
-    """Fed a check-sat answer chunk by chunk, finds its first complete line
-    that is not an (error ...) line, as parse_answer skips them."""
-
-    def __init__(self):
-        self.partial: list = []  # the text since the last newline
-        self.line: Optional[str] = None
-
-    def __call__(self, chunk: str) -> bool:
-        if "\n" not in chunk:
-            self.partial.append(chunk)
-            return False
-        *lines, rest = ("".join(self.partial) + chunk).split("\n")
-        self.partial = [rest]
-        for line in lines:
-            line = line.strip()
-            if line and not line.startswith("(error"):
-                self.line = line
-                return True
-        return False
-
-
-# Parentheses, the openers of quoted symbols, strings and comments, and
-# runs of other atom characters.
-_SEXP_TOKEN = re.compile(r'[()|";]|[^\s()|";]+')
-_CLOSER = {"|": "|", '"': '"', ";": "\n"}
-
-
-class _Balanced:
-    """Fed an answer chunk by chunk, tells when it holds one complete
-    S-expression: a balanced list or a top-level atom.  Each call scans
-    only the new chunk, so reading a large answer stays linear."""
-
-    def __init__(self):
-        self.depth = 0
-        self.closer: Optional[str] = None  # ends the symbol, string or comment being read
-
-    def __call__(self, chunk: str) -> bool:
-        pos = 0
-        while True:
-            if self.closer is not None:
-                end = chunk.find(self.closer, pos)
-                if end < 0:
-                    return False
-                self.closer = None
-                pos = end + 1
-            match = _SEXP_TOKEN.search(chunk, pos)
-            if match is None:
-                return False
-            token, pos = match.group(), match.end()
-            if token == "(":
-                self.depth += 1
-            elif token == ")":
-                self.depth -= 1
-                if self.depth == 0:
-                    return True
-            elif self.depth == 0 and token != ";":
-                return True
-            elif token in _CLOSER:
-                self.closer = _CLOSER[token]
-
-
 class SmtProcess:
     """A persistent solver process for incremental (push/pop) solving."""
 
@@ -450,17 +347,19 @@ class SmtProcess:
         except BrokenPipeError as exc:
             raise SolverProtocolError("solver closed its input") from exc
 
-    def _read_until(self, done) -> str:
-        """Read stdout until `done(chunk)`, called on each chunk as it
-        arrives, holds or the timeout passes.  What was read goes to the
-        transcript, with the error if any."""
+    def _read_until(self, wanted=lambda node: True):
+        """Read stdout until a complete S-expression for which
+        `wanted(node)` holds has arrived, and return it; raise when the
+        timeout passes first.  Each chunk is fed to one Reader as it
+        arrives.  What was read goes to the transcript, with the error if
+        any."""
         deadline = self._deadline or time.monotonic() + self.config.timeout_seconds
         chunks: list = []
         decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
+        reader = Reader()
         stream = self.proc.stdout
-        error = None
-        finished = False
-        while error is None and not finished:
+        error = node = None
+        while error is None and node is None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 error = TimeoutError("solver response timeout")
@@ -472,40 +371,29 @@ class SmtProcess:
                 if not data:
                     error = SolverProtocolError("solver closed its output")
                 chunks.append(decoder.decode(data))
-                finished = done(chunks[-1])
+                reader.feed(chunks[-1])
+                try:
+                    node = next(filter(wanted, reader), None)
+                except SexpError as exc:
+                    error = SolverProtocolError(f"{exc} in solver output")
         buffer = "".join(chunks)
         if error is not None:
             self._log("response", f"{buffer.rstrip()}\n; {error}".lstrip())
             raise error
         self._log("response", buffer)
-        return buffer
+        return node
 
     def check_sat(self) -> str:
         self.send("(check-sat)\n")
-        answer = _StatusLine()
-        self._read_until(answer)
-        status = answer.line
-        if status not in ("sat", "unsat", "unknown"):
-            raise SolverProtocolError(f"unexpected check-sat answer {status!r}")
-        return status
+        return _status(self._read_until(lambda node: not _skipped(node)))
 
     def get_model(self) -> dict:
         self.send("(get-model)\n")
-        answer = self._read_until(_Balanced())
-        valuation: dict = {}
-        for node in parse_sexprs(answer):
-            _collect_define_funs(node, valuation)
-        return valuation
+        return _valuation([self._read_until()])
 
     def get_unsat_core(self) -> Optional[list]:
         self.send("(get-unsat-core)\n")
-        answer = self._read_until(_Balanced())
-        for node in parse_sexprs(answer):
-            if isinstance(node, list) and node[:1] == ["error"]:
-                return None
-            if isinstance(node, list) and all(isinstance(x, str) for x in node):
-                return [unquote(x) for x in node]
-        return None
+        return _core([self._read_until()])
 
     def exchange(self, text: str) -> SolveOutcome:
         """One bound's round trip: send `text`, check-sat, then fetch the

@@ -52,12 +52,18 @@ SLOTTED = (
 )
 
 
-def test_importing_the_solver_loads_no_other_submodule():
-    script = ("import capplan.refsolver, sys; "
+def _capplan_modules_after(statement):
+    script = (f"import sys; {statement}; "
               "print(' '.join(sorted(m for m in sys.modules if m.startswith('capplan'))))")
     completed = subprocess.run([sys.executable, "-c", script], capture_output=True,
                                timeout=60, check=True)
-    assert completed.stdout.decode().split() == ["capplan", "capplan.refsolver"]
+    return completed.stdout.decode().split()
+
+
+def test_importing_the_solver_loads_no_other_submodule():
+    assert _capplan_modules_after("import capplan.refsolver") == [
+        "capplan", "capplan.refsolver", "capplan.sexp"]
+    assert _capplan_modules_after("import capplan.sexp") == ["capplan", "capplan.sexp"]
 
 
 def test_public_names_are_unchanged():

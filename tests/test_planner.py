@@ -7,7 +7,12 @@ import pytest
 
 import fixtures
 from capplan.encoder import build
-from capplan.errors import CoresUnavailable, IncompleteModel, InvalidModel
+from capplan.errors import (
+    CoresUnavailable,
+    IncompleteModel,
+    InvalidModel,
+    SolverProtocolError,
+)
 from capplan.model import parse_model
 from capplan.oracle import brute_force_plan, simulate
 from capplan.planner import (
@@ -211,6 +216,11 @@ FAULTS = {
     "unknown": ({"(check-sat)": "unknown"}, 0, "solver returned unknown"),
     "error-then-unknown": ({"(check-sat)": '(error "line 9: no")\nunknown'}, 0,
                            "solver returned unknown"),
+    "multiline-error-then-unknown": ({"(check-sat)": '(error "a\nb")\nunknown'}, 0,
+                                     "solver returned unknown"),
+    "unsupported-option-then-unknown": ({"(set-logic QF_LRA)": "unsupported",
+                                         "(check-sat)": "unknown"}, 0,
+                                        "solver returned unknown"),
     "hang-on-get-model": ({"(check-sat)": "sat", "(get-model)": None}, 0,
                           "timeout"),
     "hang-on-check-sat": ({"(check-sat)": None}, 0, "timeout"),
@@ -243,6 +253,69 @@ def test_unknown_outcomes_do_not_abort_the_loop(fault, incremental, tmp_path):
     # The transcript is written as the run goes, so even a hung solver
     # leaves every bound's request behind.
     assert transcript.read_text().count("(check-sat)") == 3
+
+
+# A solver that answers from a table and exits once it has answered
+# (get-model); the answers carry their own line breaks.
+EXITING_SOLVER = """
+import sys
+answers = {answers!r}
+for line in sys.stdin:
+    sys.stdout.write(answers.get(line.strip(), ""))
+    sys.stdout.flush()
+    if line.strip() == "(get-model)":
+        break
+"""
+
+PIPE_FAULTS = {
+    "garbage-status": ({"(check-sat)": "flubber\n"}, SolverProtocolError),
+    "model-cut-by-exit": ({"(check-sat)": "sat\n",
+                           "(get-model)": "(model\n  (define-fun x () Real"},
+                          SolverProtocolError),
+    "model-missing-symbols": ({"(check-sat)": "sat\n", "(get-model)": "(model)\n"},
+                              IncompleteModel),
+}
+
+
+@pytest.mark.parametrize("fault", PIPE_FAULTS)
+@pytest.mark.parametrize("incremental", (False, True), ids=("oneshot", "incremental"))
+def test_pipe_faults_raise_the_same_error_in_both_modes(fault, incremental):
+    answers, error = PIPE_FAULTS[fault]
+    timeout = 0.5
+    config = _config(incremental=incremental)
+    config.solver = SolverConfig(
+        command=[sys.executable, "-c", EXITING_SOLVER.format(answers=answers)],
+        timeout_seconds=timeout,
+    )
+    started = time.monotonic()
+    with pytest.raises(error):
+        plan(fixtures.transport_model(), 2, config)
+    assert time.monotonic() - started < timeout + 1
+
+
+UNFINISHED_ANSWERS = {
+    "unterminated-symbol": {"(check-sat)": "sat",
+                            "(get-model)": "(model (define-fun |x () Real 1.0))"},
+    "unterminated-string": {"(check-sat)": '"abc'},
+}
+
+
+@pytest.mark.parametrize("fault", UNFINISHED_ANSWERS)
+def test_unfinished_answers_are_errors_oneshot_and_timeouts_incremental(fault):
+    # A finished one-shot answer can never be completed; a live solver
+    # might still complete it, so incremental mode waits for the timeout.
+    timeout = 0.5
+    command = [sys.executable, "-c",
+               FAKE_SOLVER.format(answers=UNFINISHED_ANSWERS[fault], delay=0)]
+    oneshot = _config(solver=SolverConfig(command=command, timeout_seconds=timeout))
+    with pytest.raises(SolverProtocolError, match="unterminated"):
+        plan(fixtures.transport_model(), 2, oneshot)
+    incremental = _config(incremental=True,
+                          solver=SolverConfig(command=command, timeout_seconds=timeout))
+    started = time.monotonic()
+    result = plan(fixtures.transport_model(), 2, incremental)
+    assert time.monotonic() - started < 3 * timeout + 1
+    assert [(o.status, o.reason) for o in result.outcomes] == [("unknown", "timeout")] * 3
 
 
 def test_division_by_zero_gives_the_same_outcomes_in_both_modes():
