@@ -27,9 +27,11 @@ from typing import Optional
 from . import expr as ex
 from .errors import UnsupportedExpression
 from .model import Capability, CapabilityModel, Datatype, Property
+from .sexp import SIMPLE_SYMBOL_CHARS
 from .synonymy import SynonymyIndex, affecting_capabilities, mutex_pairs
 
-_SIMPLE_SYMBOL = re.compile(r"[a-zA-Z0-9~!@$%^&*_\-+=<>.?/]+$")
+# Any character that may not occur in a simple symbol.
+_NOT_SIMPLE = re.compile(f"[^{re.escape(''.join(sorted(SIMPLE_SYMBOL_CHARS)))}]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,9 +100,7 @@ class _Names:
         self.used = set()
 
     def make(self, *parts) -> str:
-        text = ".".join(str(p) for p in parts)
-        if not _SIMPLE_SYMBOL.match(text):
-            text = re.sub(r"[^a-zA-Z0-9~!@$%^&*_\-+=<>.?/]", "_", text)
+        text = _NOT_SIMPLE.sub("_", ".".join(str(p) for p in parts))
         name = text
         counter = 2
         while name in self.used:

@@ -4,7 +4,9 @@ Speaks enough of the SMT-LIB2 command language on stdin/stdout to act as a
 check-sat backend: declare-const, assert (with :named annotations),
 push/pop, check-sat, get-model, get-unsat-core and
 `get-info :all-statistics`.  Boolean structure is decided by a CDCL loop
-over a Tseitin CNF.  Linear constraints are decided exactly over the
+over a Tseitin CNF, with MiniSat's data structures: two watched literals
+per clause for unit propagation, and a binary heap of variable activities
+for decisions.  Linear constraints are decided exactly over the
 rationals by a backtrackable general simplex that follows the search:
 each atom is a bound on a variable or on a slack for its linear form,
 asserting a literal tightens a bound, backjumping restores it, and an
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .sexp import SexpError, SexpReader, quote, unquote
 
@@ -424,7 +427,9 @@ class Skeleton:
 
     masks[i] says which root assertions clauses[i] stands for: bit j for
     the unit clause of the j-th root, 0 for a gate definition, which holds
-    whatever is asserted because its gate is a fresh variable."""
+    whatever is asserted because its gate is a fresh variable.  No clause
+    repeats a literal, and none holds a literal and its negation: such a
+    tautology is not kept."""
 
     def __init__(self):
         self.var_count = 0
@@ -441,8 +446,13 @@ class Skeleton:
         self.masks.append(1 << index)
 
     def _define(self, clauses) -> None:
-        self.clauses.extend(clauses)
-        self.masks.extend([0] * len(clauses))
+        for clause in clauses:
+            if len(set(map(abs, clause))) < len(clause):
+                clause = list(dict.fromkeys(clause))
+                if len(set(map(abs, clause))) < len(clause):
+                    continue  # a literal and its negation
+            self.clauses.append(clause)
+            self.masks.append(0)
 
     def new_var(self, aux=False) -> int:
         self.var_count += 1
@@ -666,12 +676,17 @@ STATISTICS = ("decisions", "conflicts", "learned-clauses", "theory-checks",
 
 
 class Dpll:
-    """CDCL search: unit propagation, 1UIP conflict analysis with
-    non-chronological backjumping, and an activity-driven decision
-    heuristic.  One Simplex follows the search: every assigned atom is
-    asserted into it, backjumping takes its bounds back, and it is checked
-    before each decision.  Theory conflicts become learned clauses the
-    same way boolean conflicts do.
+    """CDCL search with MiniSat's data structures (Eén and Sörensson, "An
+    Extensible SAT-solver", SAT 2003).  Unit propagation watches two
+    literals of every clause of two or more literals (Moskewicz et al.,
+    "Chaff", DAC 2001) and walks the trail from `qhead`; one-literal
+    clauses are set when the search starts.  Conflicts are analysed to the
+    first UIP and followed by a non-chronological backjump.  Each decision
+    sets to False the most active unassigned variable, the smallest one on
+    ties, taken from a lazy binary heap.  One Simplex follows the search:
+    every assigned atom is asserted into it, backjumping takes its bounds
+    back, and it is checked before each decision.  Theory conflicts become
+    learned clauses the same way boolean conflicts do.
 
     Every clause carries the mask of the root assertions it follows from
     (Zhang and Malik, "Extracting Small Unsatisfiable Cores from
@@ -683,15 +698,17 @@ class Dpll:
 
     def __init__(self, skeleton: Skeleton):
         self.sk = skeleton
-        self.nvars = skeleton.var_count
+        n = self.nvars = skeleton.var_count
         self.clauses: list = [list(c) for c in skeleton.clauses]
         self.masks: list = list(skeleton.masks)
         self.core = 0
-        self.assign: dict = {}
-        self.level: dict = {}
-        self.reason: dict = {}  # var -> clause index (None for decisions)
+        # Indexed by variable, None while it is unassigned.
+        self.assign: list = [None] * (n + 1)
+        self.level: list = [None] * (n + 1)
+        self.reason: list = [None] * (n + 1)  # clause index, None for decisions
         self.root_mask: dict = {}  # var assigned at level 0 -> its mask
         self.trail: list = []
+        self.qhead = 0  # trail[qhead:] is still to be propagated
         # (trail length, theory undo-log length) at each decision level
         self.level_marks: list = []
         self.theory = Simplex()
@@ -699,32 +716,46 @@ class Dpll:
             self.theory.add_atom(var, op, term)
         self.decisions = 0
         self.conflicts = 0
-        self.occ: dict = {}
+        # watches[lit] holds the clauses whose first two literals include
+        # lit, visited when lit becomes false; -v indexes from the end.
+        self.watches: list = [[] for _ in range(2 * n + 1)]
+        self.units: list = []  # indices of the one-literal clauses
         for index, clause in enumerate(self.clauses):
-            for lit in clause:
-                self.occ.setdefault(lit, []).append(index)
-        self.queue: list = []
-        self.activity: dict = {}
+            self._watch(index, clause)
+        self.activity: list = [0.0] * (n + 1)
         self.bump = 1.0
+        # Entries (-activity, var).  An entry is stale once its variable is
+        # assigned or its activity has grown; every unassigned variable
+        # has a current entry.
+        self.heap: list = [(-0.0, var) for var in range(1, n + 1)]
 
     @property
     def decision_level(self) -> int:
         return len(self.level_marks)
 
+    def _watch(self, index, clause) -> None:
+        if len(clause) == 1:
+            self.units.append(index)
+        else:
+            self.watches[clause[0]].append(index)
+            self.watches[clause[1]].append(index)
+
     def _add_clause(self, clause, mask: int = 0) -> int:
+        """Add a clause all of whose literals are false, watching its two
+        highest-level ones: backjumping unassigns them first."""
+        level = self.level
+        clause = sorted(clause, key=lambda lit: level[abs(lit)], reverse=True)
         index = len(self.clauses)
-        self.clauses.append(list(clause))
+        self.clauses.append(clause)
         self.masks.append(mask)
-        for lit in clause:
-            self.occ.setdefault(lit, []).append(index)
+        self._watch(index, clause)
         return index
 
     def _set(self, var, value, reason) -> None:
         self.assign[var] = value
-        self.level[var] = self.decision_level
+        self.level[var] = len(self.level_marks)
         self.reason[var] = reason
         self.trail.append(var)
-        self.queue.append(var)
         if not self.level_marks:
             # The reason's other literals are false at level 0 already.
             mask = self.masks[reason]
@@ -735,69 +766,75 @@ class Dpll:
         if var in self.theory.atoms:
             self.theory.assert_lit(var if value else -var)
 
-    def _lit_value(self, lit):
-        value = self.assign.get(abs(lit))
-        if value is None:
-            return None
-        return value if lit > 0 else not value
-
     def _propagate(self):
-        """Unit-propagate; returns a conflicting clause index or None."""
-        while self.queue:
-            var = self.queue.pop()
-            falsified = -var if self.assign[var] else var
-            for index in self.occ.get(falsified, ()):
-                clause = self.clauses[index]
-                unit = None
-                satisfied = False
-                open_count = 0
-                for lit in clause:
-                    state = self._lit_value(lit)
-                    if state is True:
-                        satisfied = True
-                        break
-                    if state is None:
-                        open_count += 1
-                        unit = lit
-                        if open_count > 1:
-                            break
-                if satisfied or open_count > 1:
+        """Unit-propagate the trail from qhead; returns a conflicting
+        clause index or None.  A watched clause keeps its watches at
+        positions 0 and 1.  A literal is true when its variable's value
+        equals `lit > 0`, and false when it equals `lit < 0`."""
+        assign, trail, clauses, watches = self.assign, self.trail, self.clauses, self.watches
+        qhead = self.qhead
+        while qhead < len(trail):
+            var = trail[qhead]
+            qhead += 1
+            false = -var if assign[var] else var
+            watching = watches[false]
+            watches[false] = kept = []
+            for position, index in enumerate(watching):
+                clause = clauses[index]
+                if clause[0] == false:
+                    clause[0], clause[1] = clause[1], false
+                other = clause[0]
+                value = assign[abs(other)]
+                if value == (other > 0):
+                    kept.append(index)
                     continue
-                if open_count == 0:
-                    self.queue = []
-                    return index
-                self._set(abs(unit), unit > 0, index)
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if assign[abs(lit)] != (lit < 0):
+                        clause[1], clause[k] = lit, false
+                        watches[lit].append(index)
+                        break
+                else:
+                    kept.append(index)
+                    if value is not None:
+                        kept.extend(watching[position + 1:])
+                        self.qhead = len(trail)
+                        return index
+                    self._set(abs(other), other > 0, index)
+        self.qhead = qhead
         return None
-
-    def _propagate_all(self):
-        for index, clause in enumerate(self.clauses):
-            states = [self._lit_value(lit) for lit in clause]
-            if any(s is True for s in states):
-                continue
-            open_lits = [lit for lit, s in zip(clause, states) if s is None]
-            if not open_lits:
-                return index
-            if len(open_lits) == 1:
-                self._set(abs(open_lits[0]), open_lits[0] > 0, index)
-        return self._propagate()
 
     def _backjump(self, target_level) -> None:
         mark, theory_mark = self.level_marks[target_level]
         del self.level_marks[target_level:]
         self.theory.undo_to(theory_mark)
-        while len(self.trail) > mark:
-            var = self.trail.pop()
-            del self.assign[var]
-            del self.level[var]
-            self.reason.pop(var, None)
-        self.queue = []
+        assign, level, reason, activity, heap = (
+            self.assign, self.level, self.reason, self.activity, self.heap)
+        for var in self.trail[mark:]:
+            assign[var] = level[var] = reason[var] = None
+            heappush(heap, (-activity[var], var))
+        del self.trail[mark:]
+        self.qhead = mark
+        # Stale entries sink below the current ones and pile up there.
+        if len(heap) > 2 * self.nvars:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """Replace the heap by the current entries of the unassigned
+        variables, dropping every stale one."""
+        activity = self.activity
+        self.heap = [(-activity[var], var) for var in range(1, self.nvars + 1)
+                     if self.assign[var] is None]
+        heapify(self.heap)
 
     def _bump(self, var) -> None:
-        self.activity[var] = self.activity.get(var, 0.0) + self.bump
-        if self.activity[var] > 1e100:
-            for key in self.activity:
-                self.activity[key] *= 1e-100
+        activity = self.activity[var] = self.activity[var] + self.bump
+        if activity > 1e100:
+            self.activity = [a * 1e-100 for a in self.activity]
             self.bump *= 1e-100
+            self._rebuild_heap()
+        elif self.assign[var] is None:
+            heappush(self.heap, (-activity, var))
 
     def _analyze(self, conflict_index):
         """1UIP learning.  Returns (learned clause, backjump level, mask)
@@ -853,28 +890,36 @@ class Dpll:
         return learned, back, mask
 
     def _handle_conflict(self, conflict_index) -> bool:
-        result = self._analyze(conflict_index)
-        if result is None:
-            return False
-        learned, back, mask = result
-        index = self._add_clause(learned, mask)
-        self._backjump(back)
-        self._set(abs(learned[0]), learned[0] > 0, index)
-        follow = self._propagate()
-        while follow is not None:
-            result = self._analyze(follow)
+        """Learn from the conflict, backjump and propagate, until no
+        conflict is left (True) or one is at level 0 (False: unsat)."""
+        while conflict_index is not None:
+            result = self._analyze(conflict_index)
             if result is None:
                 return False
             learned, back, mask = result
             index = self._add_clause(learned, mask)
             self._backjump(back)
             self._set(abs(learned[0]), learned[0] > 0, index)
-            follow = self._propagate()
+            conflict_index = self._propagate()
         return True
+
+    def _assert_units(self):
+        """Set every one-literal clause at level 0; returns the index of
+        one that is already false, or None."""
+        for index in self.units:
+            lit = self.clauses[index][0]
+            value = self.assign[abs(lit)]
+            if value is None:
+                self._set(abs(lit), lit > 0, index)
+            elif value == (lit < 0):
+                return index
+        return None
 
     def solve(self):
         self.real_model = {}
-        conflict = self._propagate_all()
+        conflict = self._assert_units()
+        if conflict is None:
+            conflict = self._propagate()
         if conflict is not None and not self._handle_conflict(conflict):
             return "unsat"
         while True:
@@ -907,15 +952,17 @@ class Dpll:
                                      theory.checks, theory.conflicts, theory.pivots)))
 
     def _pick(self):
-        best = None
-        best_score = -1.0
-        for var in range(1, self.nvars + 1):
-            if var in self.assign:
-                continue
-            score = self.activity.get(var, 0.0)
-            if score > best_score:
-                best, best_score = var, score
-        return best
+        """The most active unassigned variable, the smallest on ties, or
+        None when every variable is assigned.  Its entry stays on the heap
+        until the variable is assigned, so a pick that is not followed by
+        a decision loses nothing."""
+        heap, assign, activity = self.heap, self.assign, self.activity
+        while heap:
+            key, var = heap[0]
+            if assign[var] is None and -key == activity[var]:
+                return var
+            heappop(heap)
+        return None
 
 
 # -- command interpreter --------------------------------------------------------
@@ -1086,7 +1133,7 @@ class RefSolver:
                 if self.sorts[name] == "Bool":
                     var = skeleton.bool_vars.get(name)
                     self.last_model[name] = (
-                        bool(dpll.assign.get(var, False)) if var else False
+                        bool(dpll.assign[var]) if var else False
                     )
                 else:
                     self.last_model[name] = dpll.real_model.get(name, Fraction(0))

@@ -27,8 +27,11 @@ _TOKEN = re.compile(
     r'|([|"]))'
 )
 
-_SIMPLE = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-                    "~!@$%^&*_-+=<>.?/")
+# The characters of an SMT-LIB simple symbol, which must not start with a
+# digit.
+SIMPLE_SYMBOL_CHARS = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789~!@$%^&*_-+=<>.?/"
+)
 
 
 class SexpError(ValueError):
@@ -138,7 +141,7 @@ class SexpReader:
 def quote(name: str) -> str:
     """`name` as a symbol: bare when it is a simple symbol, else between
     bars.  A name holding `|` or `\\` has no quoted form."""
-    if name and all(c in _SIMPLE for c in name) and not name[0].isdigit():
+    if name and all(c in SIMPLE_SYMBOL_CHARS for c in name) and not name[0].isdigit():
         return name
     return f"|{name}|"
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fixtures
 from capplan import expr as ex
@@ -426,3 +428,13 @@ def test_retractable_assertions_are_the_goal_side():
                     assert a.retractable == goal_side, a.name
                     if not a.retractable:
                         assert larger.by_name[a.name] == a
+
+
+@given(st.lists(st.lists(st.text(), max_size=3), min_size=1, max_size=6))
+def test_assertion_names_use_only_simple_symbol_characters(parts_list):
+    from capplan.encoder import _Names
+    from capplan.sexp import SIMPLE_SYMBOL_CHARS
+
+    names = _Names()
+    for parts in parts_list + parts_list:  # repeats get a ~n suffix
+        assert set(names.make(*parts)) <= SIMPLE_SYMBOL_CHARS
