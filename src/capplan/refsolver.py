@@ -3,7 +3,10 @@
 Speaks enough of the SMT-LIB2 command language on stdin/stdout to act as a
 check-sat backend: declare-const, assert (with :named annotations),
 push/pop, check-sat, get-model, get-unsat-core and
-`get-info :all-statistics`.  Boolean structure is decided by a CDCL loop
+`get-info :all-statistics`.  Top-level `(= x y)` assertions between
+Real symbols are not translated: a union-find merges their symbols, and
+every other assertion is translated with each symbol replaced by its
+class's representative.  Boolean structure is decided by a CDCL loop
 over a Tseitin CNF, with MiniSat's data structures: two watched literals
 per clause for unit propagation, and a binary heap of variable activities
 for decisions.  Linear constraints are decided exactly over the
@@ -11,13 +14,19 @@ rationals by a backtrackable general simplex that follows the search:
 each atom is a bound on a variable or on a slack for its linear form,
 asserting a literal tightens a bound, backjumping restores it, and an
 infeasible row yields the literals of its bounds as a learned conflict
-clause.  Disequalities are split on once the assignment is complete.
+clause.  Its numbers are ints while they are integral and Fractions only
+after an inexact division; no float enters it.  Binary bound axioms
+between the atoms of one variable are added to the CNF before the search,
+so that crossing bounds are ruled out by propagation.  Disequalities are
+split on once the assignment is complete.
 
 Unsat cores come from the search itself: every clause carries the set of
 assertions it was derived from, and `get-unsat-core` names the `:named`
-assertions that the final level-0 conflict depends on.  Such a core is
-unsat on its own but not necessarily minimal; clients that want a minimal
-core shrink it themselves by deletion.
+assertions that the final level-0 conflict depends on.  A root rewritten
+through merged symbols also carries the equalities that prove each of
+them equal to its representative.  Such a core is unsat on its own but
+not necessarily minimal; clients that want a minimal core shrink it
+themselves by deletion.
 
 Scripts are read, and symbols quoted, with `capplan.sexp`, the one
 S-expression reader the client also reads answers with; it is the only
@@ -34,12 +43,16 @@ console script.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .sexp import SexpError, SexpReader, quote, unquote
 
 EQ, LE, LT, NE = "eq", "le", "lt", "ne"
+# How many equalities on other values each equality atom excludes in the
+# bound axioms; it bounds their count on variables with many atoms.
+EQUALITY_WINDOW = 16
 
 
 class Unsupported(Exception):
@@ -53,40 +66,64 @@ class Nonlinear(Unsupported):
 # -- linear arithmetic --------------------------------------------------------
 
 
+def _exact(q):
+    """q (an int or a Fraction) as an int when it is integral, else as a
+    Fraction."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _div(a, b):
+    """a / b exactly, as an int when it divides, else as a Fraction; a
+    and b are ints or Fractions, and `/` on two ints would be a float."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return _exact(Fraction(a, b))
+
+
 class Lin:
-    """A linear term: sum of coeff*var plus a constant, exact rationals.
-    Zero coefficients are never stored."""
+    """A linear term: sum of coeff*var plus a constant, exact rationals:
+    ints while integral, else Fractions.  Zero coefficients are never
+    stored."""
 
     __slots__ = ("coeffs", "const")
 
-    def __init__(self, coeffs=None, const=Fraction(0)):
+    def __init__(self, coeffs=None, const=0):
         self.coeffs = {
-            v: Fraction(c) for v, c in (coeffs or {}).items() if c != 0
+            v: _exact(Fraction(c)) for v, c in (coeffs or {}).items() if c != 0
         }
-        self.const = Fraction(const)
+        self.const = _exact(Fraction(const))
 
-    def __add__(self, other):
-        out = Lin(self.coeffs, self.const + other.const)
-        for var, c in other.coeffs.items():
-            new = out.coeffs.get(var, Fraction(0)) + c
-            if new == 0:
-                out.coeffs.pop(var, None)
-            else:
-                out.coeffs[var] = new
+    @classmethod
+    def _of(cls, coeffs: dict, const):
+        """A term from exact, nonzero coefficients, taken as they are."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        out.const = const
         return out
 
+    def __add__(self, other):
+        coeffs = dict(self.coeffs)
+        for var, c in other.coeffs.items():
+            new = _exact(coeffs.get(var, 0) + c)
+            if new == 0:
+                del coeffs[var]
+            else:
+                coeffs[var] = new
+        return Lin._of(coeffs, _exact(self.const + other.const))
+
     def __neg__(self):
-        return self.scale(Fraction(-1))
+        return Lin._of({v: -c for v, c in self.coeffs.items()}, -self.const)
 
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, factor: Fraction):
+    def scale(self, factor):
         if factor == 0:
             return Lin()
-        return Lin({v: c * factor for v, c in self.coeffs.items()}, self.const * factor)
+        return Lin._of({v: _exact(c * factor) for v, c in self.coeffs.items()},
+                       _exact(self.const * factor))
 
-    def evaluate(self, model, default=Fraction(0)):
+    def evaluate(self, model, default=0):
         total = self.const
         for var, c in self.coeffs.items():
             total += c * model.get(var, default)
@@ -128,13 +165,14 @@ class Simplex:
     variable it mentions, or else a slack standing for its linear form
     (forms equal up to a factor share a slack).  Values and bounds are
     pairs (c, k) meaning c + k*delta for an infinitesimal delta > 0; tuple
-    order is their order, so strict bounds stay exact.  Asserting a
-    literal only tightens bounds and logs what it replaced, and undo_to()
-    restores them; the assignment survives backtracking because looser
-    bounds never invalidate it.  check() repairs the assignment by
-    pivoting under Bland's rule and, when a row cannot be repaired,
-    returns the tags of that row's bounds.  Disequalities are collected
-    and split on only by final_check().
+    order is their order, so strict bounds stay exact.  Numbers are ints
+    until an inexact division (`_div`) brings in a Fraction; no float
+    enters.  Asserting a literal only tightens bounds and logs what it
+    replaced, and undo_to() restores them; the assignment survives
+    backtracking because looser bounds never invalidate it.  check()
+    repairs the assignment by pivoting under Bland's rule and, when a row
+    cannot be repaired, returns the tags of that row's bounds.
+    Disequalities are collected and split on only by final_check().
     """
 
     def __init__(self):
@@ -183,8 +221,49 @@ class Simplex:
         if len(items) == 1:
             x = self._input(items[0][0])
         else:
-            x = self._slack(tuple((name, c / lead) for name, c in items))
-        self.atoms[atom] = (x, -term.const / lead, op if lead > 0 else _FLIP[op])
+            x = self._slack(tuple((name, _div(c, lead)) for name, c in items))
+        self.atoms[atom] = (x, _div(-term.const, lead), op if lead > 0 else _FLIP[op])
+
+    def bound_axioms(self) -> list:
+        """Binary clauses, valid in the theory, that rule out crossing
+        bounds between the atoms of one variable (Dutertre and de Moura,
+        section 4).  Each inequality atom, or its negation, reads `x <=
+        bound` for a delta-rational bound; sorted by bound, each of these
+        implies the next.  An equality `x = b` implies the nearest of them
+        at or above b and the negation of the nearest below it, and
+        excludes the next EQUALITY_WINDOW equalities on other values.
+        Sorting per variable keeps this at O(n log n) plus the clauses."""
+        uppers: dict = {}  # id -> [(bound, literal meaning `id <= bound`)]
+        equals: dict = {}  # id -> [(b, atom meaning `id = b`)]
+        for atom, (x, b, op) in self.atoms.items():
+            if op == EQ:
+                equals.setdefault(x, []).append((b, atom))
+                continue
+            ((side, k),), lit = _EFFECTS[op][0], atom
+            if side == LOWER:  # then its negation is an upper bound
+                ((side, k),), lit = _EFFECTS[op][1], -atom
+            uppers.setdefault(x, []).append(((b, k), lit))
+        clauses = []
+        for bounds in uppers.values():
+            bounds.sort()
+            for (low, tighter), (high, looser) in zip(bounds, bounds[1:]):
+                clauses.append([-tighter, looser])
+                if low == high:
+                    clauses.append([-looser, tighter])
+        for x, eqs in equals.items():
+            eqs.sort()
+            bounds = uppers.get(x, [])
+            keys = [bound for bound, _ in bounds]
+            for i, (b, e) in enumerate(eqs):
+                j = bisect_left(keys, (b, 0))
+                if j < len(bounds):
+                    clauses.append([-e, bounds[j][1]])
+                if j > 0:
+                    clauses.append([-e, -bounds[j - 1][1]])
+                for c, f in eqs[i + 1:i + 1 + EQUALITY_WINDOW]:
+                    if c != b:
+                        clauses.append([-e, -f])
+        return clauses
 
     # -- asserting and backtracking --
 
@@ -261,7 +340,7 @@ class Simplex:
         """Set basic xi to `target` by moving nonbasic xj, then swap them."""
         a = self.rows[xi][xj]
         c, k = self.value[xi]
-        t0, t1 = (target[0] - c) / a, (target[1] - k) / a
+        t0, t1 = _div(target[0] - c, a), _div(target[1] - k, a)
         self.value[xi] = target
         c, k = self.value[xj]
         self.value[xj] = (c + t0, k + t1)
@@ -279,10 +358,10 @@ class Simplex:
         """Make xj basic in xi's row and substitute it in every other row."""
         rows, cols = self.rows, self.cols
         row = rows.pop(xi)
-        inv = 1 / row.pop(xj)
+        inv = _div(1, row.pop(xj))
         for y in row:
             cols[y].discard(xi)
-        new = {y: -c * inv for y, c in row.items()}
+        new = {y: _exact(-c * inv) for y, c in row.items()}
         new[xi] = inv
         others = cols.pop(xj)
         others.discard(xi)
@@ -293,7 +372,7 @@ class Simplex:
             target = rows[r]
             factor = target.pop(xj)
             for y, c in new.items():
-                total = target.get(y, 0) + factor * c
+                total = _exact(target.get(y, 0) + factor * c)
                 if total == 0:
                     del target[y]
                     cols[y].discard(r)
@@ -348,7 +427,7 @@ class Simplex:
                 delta = min(delta, Fraction(c - low[0][0]) / (low[0][1] - k))
             if high is not None and c < high[0][0] and k > high[0][1]:
                 delta = min(delta, Fraction(high[0][0] - c) / (k - high[0][1]))
-        return [c + delta * k for c, k in self.value]
+        return [c + delta * k if k else c for c, k in self.value]
 
     def final_check(self):
         """check(), then the disequalities: one the model violates is split
@@ -425,25 +504,27 @@ FALSE = ("const", False)
 class Skeleton:
     """Interns boolean variables and linear atoms; builds a Tseitin CNF.
 
-    masks[i] says which root assertions clauses[i] stands for: bit j for
-    the unit clause of the j-th root, 0 for a gate definition, which holds
-    whatever is asserted because its gate is a fresh variable.  No clause
-    repeats a literal, and none holds a literal and its negation: such a
-    tautology is not kept."""
+    masks[i] says which root assertions clauses[i] stands for: for the
+    unit clause of a root, bit j of its assertion and the bits of the
+    equalities its translation read; 0 for a gate definition, which holds
+    whatever is asserted because its gate is a fresh variable, and for a
+    bound axiom, which holds in the theory.  No clause repeats a literal,
+    and none holds a literal and its negation: such a tautology is not
+    kept."""
 
     def __init__(self):
         self.var_count = 0
         self.bool_vars: dict = {}
         self.atom_ids: dict = {}
         self.atoms: dict = {}  # var id -> (op, Lin)
-        self.aux: set = set()
         self.clauses: list = []
         self.masks: list = []
 
-    def assert_root(self, node, index: int) -> None:
-        """Add the (constant-free) node as the root assertion `index`."""
+    def assert_root(self, node, mask: int) -> None:
+        """Add the (constant-free) node as a root clause that stands for
+        the root assertions in `mask`."""
         self.clauses.append([self.tseitin(node)])
-        self.masks.append(1 << index)
+        self.masks.append(mask)
 
     def _define(self, clauses) -> None:
         for clause in clauses:
@@ -454,10 +535,8 @@ class Skeleton:
             self.clauses.append(clause)
             self.masks.append(0)
 
-    def new_var(self, aux=False) -> int:
+    def new_var(self) -> int:
         self.var_count += 1
-        if aux:
-            self.aux.add(self.var_count)
         return self.var_count
 
     def bool_var(self, name: str) -> int:
@@ -479,7 +558,7 @@ class Skeleton:
         if kind == "lit":
             return node[1]
         args = [self.tseitin(child) for child in node[1]]
-        gate = self.new_var(aux=True)
+        gate = self.new_var()
         if kind == "and":
             self._define([[-gate, lit] for lit in args])
             self._define([[gate] + [-lit for lit in args]])
@@ -536,10 +615,78 @@ def _negate(node):
     raise Unsupported(f"cannot negate {node[0]}")
 
 
+class Equalities:
+    """A union-find over the Real symbols that top-level `(= x y)`
+    assertions equate, so that translation writes every symbol of a class
+    as one representative, its first-declared symbol.
+
+    Each merge of two classes is an edge of a spanning forest that carries
+    its assertion's bit; the edges on the forest path from a symbol to its
+    representative are the assertions that prove them equal."""
+
+    def __init__(self, order: dict):
+        self.order = order  # symbol -> declaration position
+        self.parent: dict = {}  # symbol -> parent symbol
+        self.edges: dict = {}  # symbol -> [(symbol, bit)]
+
+    def _find(self, name: str) -> str:
+        parent = self.parent
+        root = parent.setdefault(name, name)
+        while parent[root] != root:
+            root = parent[root]
+        while name != root:
+            parent[name], name = root, parent[name]
+        return root
+
+    def merge(self, a: str, b: str, bit: int) -> None:
+        """Equate a and b by the assertion `bit`."""
+        ra, rb = self._find(a), self._find(b)
+        if ra != rb:  # else the edges already there imply it
+            self.parent[rb] = ra
+            self.edges.setdefault(a, []).append((b, bit))
+            self.edges.setdefault(b, []).append((a, bit))
+
+    def resolve(self) -> dict:
+        """symbol -> (representative, mask of the assertions that equate
+        them), for every merged symbol other than a representative."""
+        classes: dict = {}
+        for name in self.parent:
+            classes.setdefault(self._find(name), []).append(name)
+        resolved = {}
+        for members in classes.values():
+            rep = min(members, key=self.order.__getitem__)
+            masks = {rep: 0}
+            stack = [rep]
+            while stack:
+                name = stack.pop()
+                for other, bit in self.edges.get(name, ()):
+                    if other not in masks:
+                        masks[other] = masks[name] | bit
+                        resolved[other] = (rep, masks[other])
+                        stack.append(other)
+        return resolved
+
+
 class Translator:
+    """Translates assertions into skeleton nodes over `lit`s, reading
+    every symbol in `resolved` as its representative and collecting the
+    masks of the equalities it read in `used`."""
+
     def __init__(self, sorts: dict, skeleton: Skeleton):
         self.sorts = sorts
         self.skeleton = skeleton
+        self.resolved: dict = {}
+        self.used = 0
+
+    def equality(self, term):
+        """The two names of a top-level `(= x y)` between Real symbols,
+        or None."""
+        if not (isinstance(term, list) and len(term) == 3 and term[0] == "="):
+            return None
+        names = [unquote(side) for side in term[1:] if isinstance(side, str)]
+        if len(names) == 2 and all(self.sorts.get(name) == "Real" for name in names):
+            return names
+        return None
 
     def sort_of(self, node) -> str:
         if isinstance(node, str):
@@ -623,9 +770,12 @@ class Translator:
             if name in self.sorts:
                 if self.sorts[name] != "Real":
                     raise Unsupported(f"boolean {name!r} in arithmetic")
-                return Lin({name: Fraction(1)})
+                if name in self.resolved:
+                    name, mask = self.resolved[name]
+                    self.used |= mask
+                return Lin._of({name: 1}, 0)
             try:
-                return Lin({}, Fraction(name))
+                return Lin._of({}, _exact(Fraction(name)))
             except (ValueError, ZeroDivisionError):
                 raise Unsupported(f"undeclared symbol {name!r}")
         if not node:
@@ -645,7 +795,7 @@ class Translator:
                 out = out - self.to_lin(a)
             return out
         if head == "*":
-            out = Lin({}, Fraction(1))
+            out = Lin._of({}, 1)
             for a in args:
                 factor = self.to_lin(a)
                 if out.coeffs and factor.coeffs:
@@ -663,7 +813,7 @@ class Translator:
                 raise Nonlinear("variable divisor")
             if den.const == 0:
                 raise Unsupported("division by zero constant")
-            return num.scale(Fraction(1, 1) / den.const)
+            return num.scale(_div(1, den.const))
         raise Unsupported(f"operator {head!r} in arithmetic context")
 
 
@@ -679,31 +829,43 @@ class Dpll:
     """CDCL search with MiniSat's data structures (Eén and Sörensson, "An
     Extensible SAT-solver", SAT 2003).  Unit propagation watches two
     literals of every clause of two or more literals (Moskewicz et al.,
-    "Chaff", DAC 2001) and walks the trail from `qhead`; one-literal
-    clauses are set when the search starts.  Conflicts are analysed to the
-    first UIP and followed by a non-chronological backjump.  Each decision
-    sets to False the most active unassigned variable, the smallest one on
-    ties, taken from a lazy binary heap.  One Simplex follows the search:
-    every assigned atom is asserted into it, backjumping takes its bounds
-    back, and it is checked before each decision.  Theory conflicts become
-    learned clauses the same way boolean conflicts do.
+    "Chaff", DAC 2001) and walks the trail from `qhead`; values are kept
+    per literal, so a literal's test is one list lookup.  One-literal
+    clauses are set when the search starts.  Conflicts are
+    analysed to the first UIP and followed by a non-chronological
+    backjump.  Each decision sets to False the most active unassigned
+    variable, the smallest one on ties, taken from a lazy binary heap.
+    One Simplex follows the search: every assigned atom is asserted into
+    it, backjumping takes its bounds back, and it is checked before each
+    decision.  Its bound axioms join the clauses before the search starts.
+    Theory conflicts become learned clauses the same way boolean conflicts
+    do.
 
     Every clause carries the mask of the root assertions it follows from
     (Zhang and Malik, "Extracting Small Unsatisfiable Cores from
-    Satisfiable Formulas", SAT 2003): a theory lemma has mask 0, a learned
-    clause the union of the clauses resolved into it.  A variable assigned
-    at level 0 carries the mask of its reason and of the reason's other
-    literals, so after an unsat answer `core` is the mask of the final
-    level-0 conflict."""
+    Satisfiable Formulas", SAT 2003): a theory lemma or bound axiom has
+    mask 0, a learned clause the union of the clauses resolved into it.  A
+    variable assigned at level 0 carries the mask of its reason and of the
+    reason's other literals, so after an unsat answer `core` is the mask
+    of the final level-0 conflict."""
 
     def __init__(self, skeleton: Skeleton):
         self.sk = skeleton
         n = self.nvars = skeleton.var_count
+        self.theory = Simplex()
+        for var, (op, term) in skeleton.atoms.items():
+            self.theory.add_atom(var, op, term)
+        # The bound axioms join the given clauses; like gate definitions,
+        # they hold whatever is asserted.
+        skeleton._define(self.theory.bound_axioms())
         self.clauses: list = [list(c) for c in skeleton.clauses]
         self.masks: list = list(skeleton.masks)
         self.core = 0
-        # Indexed by variable, None while it is unassigned.
-        self.assign: list = [None] * (n + 1)
+        # assign[lit] is the value of the literal lit, None while its
+        # variable is unassigned: assign[v] is v's value, and -v indexes
+        # from the end.
+        self.assign: list = [None] * (2 * n + 1)
+        # Indexed by variable.
         self.level: list = [None] * (n + 1)
         self.reason: list = [None] * (n + 1)  # clause index, None for decisions
         self.root_mask: dict = {}  # var assigned at level 0 -> its mask
@@ -711,9 +873,6 @@ class Dpll:
         self.qhead = 0  # trail[qhead:] is still to be propagated
         # (trail length, theory undo-log length) at each decision level
         self.level_marks: list = []
-        self.theory = Simplex()
-        for var, (op, term) in skeleton.atoms.items():
-            self.theory.add_atom(var, op, term)
         self.decisions = 0
         self.conflicts = 0
         # watches[lit] holds the clauses whose first two literals include
@@ -751,26 +910,29 @@ class Dpll:
         self._watch(index, clause)
         return index
 
-    def _set(self, var, value, reason) -> None:
-        self.assign[var] = value
+    def _set(self, lit, reason) -> None:
+        """Make lit true, implied by the clause `reason` (None for a
+        decision)."""
+        var = abs(lit)
+        self.assign[lit] = True
+        self.assign[-lit] = False
         self.level[var] = len(self.level_marks)
         self.reason[var] = reason
         self.trail.append(var)
         if not self.level_marks:
             # The reason's other literals are false at level 0 already.
             mask = self.masks[reason]
-            for lit in self.clauses[reason]:
-                if abs(lit) != var:
-                    mask |= self.root_mask[abs(lit)]
+            for other in self.clauses[reason]:
+                if abs(other) != var:
+                    mask |= self.root_mask[abs(other)]
             self.root_mask[var] = mask
         if var in self.theory.atoms:
-            self.theory.assert_lit(var if value else -var)
+            self.theory.assert_lit(lit)
 
     def _propagate(self):
         """Unit-propagate the trail from qhead; returns a conflicting
         clause index or None.  A watched clause keeps its watches at
-        positions 0 and 1.  A literal is true when its variable's value
-        equals `lit > 0`, and false when it equals `lit < 0`."""
+        positions 0 and 1."""
         assign, trail, clauses, watches = self.assign, self.trail, self.clauses, self.watches
         qhead = self.qhead
         while qhead < len(trail):
@@ -784,13 +946,13 @@ class Dpll:
                 if clause[0] == false:
                     clause[0], clause[1] = clause[1], false
                 other = clause[0]
-                value = assign[abs(other)]
-                if value == (other > 0):
+                value = assign[other]
+                if value:
                     kept.append(index)
                     continue
                 for k in range(2, len(clause)):
                     lit = clause[k]
-                    if assign[abs(lit)] != (lit < 0):
+                    if assign[lit] is not False:
                         clause[1], clause[k] = lit, false
                         watches[lit].append(index)
                         break
@@ -800,7 +962,7 @@ class Dpll:
                         kept.extend(watching[position + 1:])
                         self.qhead = len(trail)
                         return index
-                    self._set(abs(other), other > 0, index)
+                    self._set(other, index)
         self.qhead = qhead
         return None
 
@@ -811,7 +973,7 @@ class Dpll:
         assign, level, reason, activity, heap = (
             self.assign, self.level, self.reason, self.activity, self.heap)
         for var in self.trail[mark:]:
-            assign[var] = level[var] = reason[var] = None
+            assign[var] = assign[-var] = level[var] = reason[var] = None
             heappush(heap, (-activity[var], var))
         del self.trail[mark:]
         self.qhead = mark
@@ -851,30 +1013,31 @@ class Dpll:
             return None
         if top < self.decision_level:
             self._backjump(top)
+        level, trail, current = self.level, self.trail, self.decision_level
         seen: set = set()
         learned: list = []
         counter = 0
-        trail_index = len(self.trail) - 1
+        trail_index = len(trail) - 1
         clause = conflict
         while True:
             for lit in clause:
                 var = abs(lit)
                 if var in seen:
                     continue
-                if self.level[var] == 0:
+                if level[var] == 0:
                     mask |= self.root_mask[var]
                     continue
                 seen.add(var)
                 self._bump(var)
-                if self.level[var] == self.decision_level:
+                if level[var] == current:
                     counter += 1
                 else:
                     learned.append(lit)
-            while abs(self.trail[trail_index]) not in seen or (
-                self.level[abs(self.trail[trail_index])] != self.decision_level
-            ):
+            # Every variable after the current level's mark is at that
+            # level, and the ones still to resolve lie there.
+            while trail[trail_index] not in seen:
                 trail_index -= 1
-            var = abs(self.trail[trail_index])
+            var = trail[trail_index]
             trail_index -= 1
             counter -= 1
             if counter == 0:
@@ -899,7 +1062,7 @@ class Dpll:
             learned, back, mask = result
             index = self._add_clause(learned, mask)
             self._backjump(back)
-            self._set(abs(learned[0]), learned[0] > 0, index)
+            self._set(learned[0], index)
             conflict_index = self._propagate()
         return True
 
@@ -908,10 +1071,10 @@ class Dpll:
         one that is already false, or None."""
         for index in self.units:
             lit = self.clauses[index][0]
-            value = self.assign[abs(lit)]
+            value = self.assign[lit]
             if value is None:
-                self._set(abs(lit), lit > 0, index)
-            elif value == (lit < 0):
+                self._set(lit, index)
+            elif not value:
                 return index
         return None
 
@@ -939,7 +1102,7 @@ class Dpll:
                     return "sat"
             self.decisions += 1
             self.level_marks.append((len(self.trail), len(self.theory.undo)))
-            self._set(var, False, None)
+            self._set(-var, None)
             conflict = self._propagate()
             if conflict is not None and not self._handle_conflict(conflict):
                 return "unsat"
@@ -1096,18 +1259,30 @@ class RefSolver:
         skeleton = Skeleton()
         self.last_stats = dict.fromkeys(STATISTICS, 0)
         translator = Translator(self.sorts, skeleton)
+        # Bit j of a mask stands for the j-th live assertion, named names[j].
+        assertions = list(self._assertions())
+        names = [name for name, _ in assertions]
+        equalities = Equalities({name: i for i, name in enumerate(self.decl_order)})
+        merged = set()
+        for index, (_, term) in enumerate(assertions):
+            pair = translator.equality(term)
+            if pair is not None:
+                merged.add(index)
+                equalities.merge(*pair, 1 << index)
+        translator.resolved = equalities.resolve()
         try:
-            # Root j of the skeleton is the assertion named names[j].
-            roots, names = [], []
-            for name, term in self._assertions():
-                node = translator.to_bool(term)
-                if node == FALSE:
-                    self._unsat([name], 1)
-                    return
-                if node == TRUE:
+            roots = []
+            for index, (_, term) in enumerate(assertions):
+                if index in merged:
                     continue
-                roots.append(node)
-                names.append(name)
+                translator.used = 0
+                node = translator.to_bool(term)
+                mask = 1 << index | translator.used
+                if node == FALSE:
+                    self._unsat(names, mask)
+                    return
+                if node != TRUE:
+                    roots.append((node, mask))
         except Nonlinear:
             self.last_status = "unknown"
             self._print("unknown")
@@ -1118,8 +1293,8 @@ class RefSolver:
             self._print("unknown")
             return
 
-        for index, node in enumerate(roots):
-            skeleton.assert_root(node, index)
+        for node, mask in roots:
+            skeleton.assert_root(node, mask)
         dpll = Dpll(skeleton)
         status = dpll.solve()
         self.last_stats = dpll.statistics()
@@ -1135,8 +1310,9 @@ class RefSolver:
                     self.last_model[name] = (
                         bool(dpll.assign[var]) if var else False
                     )
-                else:
-                    self.last_model[name] = dpll.real_model.get(name, Fraction(0))
+                    continue
+                rep = translator.resolved.get(name, (name,))[0]
+                self.last_model[name] = dpll.real_model.get(rep, Fraction(0))
         self._print(status)
 
     def _unsat(self, names: list, mask: int) -> None:

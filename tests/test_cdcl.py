@@ -107,8 +107,8 @@ def test_heap_picks_what_a_linear_scan_picks(monkeypatch):
             return var
 
     monkeypatch.setattr(refsolver, "Dpll", Checked)
-    model = _station_chain(6)
-    solver = _run(emit(build(model, build_index(model), 4)))
+    model = _station_chain(8)
+    solver = _run(emit(build(model, build_index(model), 6)))
     assert solver.last_status == "unsat"
     assert solver.last_stats["conflicts"] > 50
     assert len(picks) > 500

@@ -440,6 +440,215 @@ def test_core_never_names_a_popped_assertion():
     assert second.is_unsat and second.core == ["g2", "g3"]
 
 
+# -- equality substitution, bound axioms, integral simplex ----------------------
+
+
+def _model(out: str) -> dict:
+    from capplan.smtlib import parse_answer
+
+    outcome = parse_answer(out, expect_core=False)
+    assert outcome.is_sat, out
+    return outcome.valuation
+
+
+def test_a_named_equality_the_conflict_needs_is_in_the_core():
+    # x, y and z form one class; x <= 1 and y >= 2 conflict only through
+    # e.  f merges z, which the conflict does not read, and c reads z.
+    lines = [
+        "(declare-const x Real)", "(declare-const y Real)", "(declare-const z Real)",
+        "(assert (! (= x y) :named e))", "(assert (! (= y z) :named f))",
+        "(assert (! (<= x 1.0) :named a))", "(assert (! (<= z 5.0) :named c))",
+        "(assert (! (>= y 2.0) :named b))",
+    ]
+    core = _core(run_inprocess("".join(lines) + "(check-sat)(get-unsat-core)"))
+    assert core == ["e", "a", "b"]
+    alone = [line for line in lines if "assert" not in line or
+             any(f":named {name})" in line for name in core)]
+    assert run_inprocess("".join(alone) + "(check-sat)").startswith("unsat")
+
+
+def test_merged_symbols_get_equal_values_that_satisfy_every_assertion():
+    asserts = ["(= x y)", "(= z y)", "(>= (+ y z) 3.0)", "(< x 2.0)", "(= w (+ x 1.0))"]
+    out = run_inprocess(
+        "(declare-const x Real)(declare-const y Real)(declare-const z Real)"
+        "(declare-const w Real)"
+        + "".join(f"(assert {a})" for a in asserts) + "(check-sat)(get-model)"
+    )
+    model = _model(out)
+    assert model["x"] == model["y"] == model["z"]
+    x = model["x"]
+    assert 2 * x >= 3 and x < 2 and model["w"] == x + 1
+
+
+def test_an_equality_and_a_strict_order_on_one_pair_are_unsat():
+    out = run_inprocess(
+        "(declare-const x Real)(declare-const y Real)(declare-const z Real)"
+        "(assert (! (<= z 0.0) :named other))"
+        "(assert (! (= x y) :named e))(assert (! (< x y) :named lt))"
+        "(check-sat)(get-unsat-core)"
+    )
+    assert _core(out) == ["e", "lt"]
+
+
+def test_an_equality_popped_no_longer_binds():
+    out = run_inprocess(
+        "(declare-const x Real)(declare-const y Real)"
+        "(assert (! (< x y) :named lt))"
+        "(push 1)(assert (! (= x y) :named e))(check-sat)(get-unsat-core)(pop 1)"
+        "(check-sat)(get-model)"
+    )
+    assert _core(out) == ["lt", "e"]
+    model = _model(out[out.index(")") + 1:])
+    assert model["x"] < model["y"]
+
+
+def test_random_scripts_with_equalities_agree_with_enumeration():
+    # Top-level equalities between Real symbols are substituted away; the
+    # enumeration translates without substitution.
+    import random
+
+    from test_refsolver_stress import _enumerate_satisfiable, _evaluate, _run
+
+    rng = random.Random(20261019)
+    reals = ["x", "y", "z", "w"]
+    seen = {"sat": 0, "unsat": 0}
+    for _ in range(200):
+        lines = [f"(declare-const {name} Real)" for name in reals]
+        asserts = []
+        for _ in range(rng.randint(1, 3)):
+            asserts.append(f"(= {rng.choice(reals)} {rng.choice(reals)})")
+        for _ in range(rng.randint(3, 5)):
+            left, right = rng.sample(reals, 2)
+            op = rng.choice(["<", "<=", "=", ">="])
+            atom = (f"({op} {left} {right})" if rng.random() < 0.5
+                    else f"({op} (+ {left} {right}) {rng.randint(-2, 2)}.0)")
+            if rng.random() < 0.4:
+                atom = f"(or {atom} ({rng.choice(['<', '>'])} {left} {rng.randint(-2, 2)}.0))"
+            asserts.append(atom)
+        rng.shuffle(asserts)
+        lines += [f"(assert (! {a} :named a{i}))" for i, a in enumerate(asserts)]
+        text = "".join(lines) + "(check-sat)"
+        solver = _run(text)
+        expected = "sat" if _enumerate_satisfiable(solver) else "unsat"
+        assert solver.last_status == expected, text
+        seen[expected] += 1
+        if expected == "sat":
+            model = solver.last_model
+            parsed = [SexpReader(io.StringIO(a)).read() for a in asserts]
+            assert all(_evaluate(node, model) is True for node in parsed), (text, model)
+        else:
+            core = [asserts[int(name[1:])] for name in solver.last_core]
+            again = "".join(lines[:len(reals)]) + "".join(f"(assert {a})" for a in core)
+            assert _run(again + "(check-sat)").last_status == "unsat", (text, core)
+    assert min(seen.values()) >= 40, seen
+
+
+def test_bound_axioms_are_valid_and_rule_out_crossing_bounds():
+    import itertools
+    import random
+
+    from capplan.refsolver import _EFFECTS, LOWER, UPPER, Simplex
+
+    rng = random.Random(20261020)
+    emitted = 0
+    for _ in range(300):
+        simplex = Simplex()
+        atoms = {}
+        for atom in range(1, rng.randint(2, 6) + 1):
+            op = rng.choice((EQ, LE, LT))
+            const = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+            term = Lin({"x": rng.choice((1, -1, 2))}, const)
+            simplex.add_atom(atom, op, term)
+            atoms[atom] = (op, term)
+        axioms = simplex.bound_axioms()
+        emitted += len(axioms)
+
+        def allowed(truth):
+            return all(any(truth[abs(lit)] == (lit > 0) for lit in clause) for clause in axioms)
+
+        # Valid: every point near an atom's bound satisfies every clause.
+        for op, term in atoms.values():
+            for offset in (Fraction(-1, 4), 0, Fraction(1, 4)):
+                point = {"x": -term.const / term.coeffs["x"] + offset}
+                assert allowed({a: satisfied(o, t, point) for a, (o, t) in atoms.items()})
+        # Strong enough: every assignment they allow has no lower bound
+        # above an upper bound.
+        for values in itertools.product((False, True), repeat=len(atoms)):
+            truth = dict(zip(atoms, values))
+            if not allowed(truth):
+                continue
+            bounds = {LOWER: [], UPPER: []}
+            for atom, value in truth.items():
+                _, b, op = simplex.atoms[atom]
+                for side, k in _EFFECTS[op][not value]:
+                    if side in bounds:
+                        bounds[side].append((b, k))
+            if bounds[LOWER] and bounds[UPPER]:
+                assert max(bounds[LOWER]) <= min(bounds[UPPER]), (atoms, truth)
+    assert emitted > 1000
+
+
+def test_the_station_chain_needs_less_than_half_the_decisions():
+    # Summed over bounds 0..7 of an 8-station chain, the search before
+    # equality substitution and bound axioms made 11,753 decisions.
+    from capplan.encoder import build
+    from capplan.smtlib import emit, parse_sexprs
+    from capplan.synonymy import build_index
+
+    model = _station_chain(8)
+    index = build_index(model)
+    decisions = 0
+    for bound in range(8):
+        out = run_inprocess(emit(build(model, index, bound), produce_cores=False)
+                            + "(get-info :all-statistics)")
+        stats = parse_sexprs(out)[-1]
+        decisions += int(stats[stats.index(":decisions") + 1])
+    assert decisions < 11753 / 2
+
+
+def test_no_float_enters_the_simplex_and_integers_stay_int(monkeypatch):
+    from capplan import refsolver
+    from capplan.encoder import build
+    from capplan.smtlib import emit
+    from capplan.synonymy import build_index
+
+    searches = []
+
+    class Recorded(refsolver.Dpll):
+        def solve(self):
+            searches.append(self)
+            return super().solve()
+
+    def numbers(theory):
+        for c, k in theory.value:
+            yield c
+            yield k
+        for side in theory.bounds:
+            for bound in side:
+                if bound is not None:
+                    yield from bound[0]
+        for row in theory.rows.values():
+            yield from row.values()
+        for _, b, _ in theory.atoms.values():
+            yield b
+
+    monkeypatch.setattr(refsolver, "Dpll", Recorded)
+    model = _station_chain(4)
+    for bound in range(4):
+        run_inprocess(emit(build(model, build_index(model), bound)))
+    assert searches and all(s.theory.pivots for s in searches[-2:])
+    assert {type(n) for s in searches for n in numbers(s.theory)} == {int}
+    searches.clear()
+    out = run_inprocess(
+        "(declare-const x Real)(declare-const y Real)"
+        "(assert (= (* 3.0 x) 1.0))(assert (<= (+ x (* 2.0 y)) (/ 1 2)))"
+        "(assert (>= (- (* 3.0 y) x) (- 7.0)))(check-sat)"
+    )
+    assert out.startswith("sat")
+    kinds = {type(n) for s in searches for n in numbers(s.theory)}
+    assert Fraction in kinds and kinds <= {int, Fraction}
+
+
 def test_malformed_commands_answer_errors_and_reading_goes_on():
     script = (
         "(push x)\n(declare-fun)\n(pop -1)\n(pop 1)\n(declare-const)\n(assert)\n"
