@@ -18,14 +18,11 @@ import importlib
 _EXPORTS = {
     "Encoding": "encoder",
     "build": "encoder",
-    "declare_variables": "encoder",
     "CapPlanError": "errors",
     "CapabilityModel": "model",
     "load_model": "model",
     "merge_documents": "model",
     "parse_model": "model",
-    "partition_properties": "model",
-    "serialize_model": "model",
     "validate": "model",
     "brute_force_plan": "oracle",
     "simulate": "oracle",
@@ -43,8 +40,6 @@ _EXPORTS = {
     "SynonymyIndex": "synonymy",
     "build_index": "synonymy",
     "effect_sets": "synonymy",
-    "synonymous_products": "synonymy",
-    "synonymous_properties": "synonymy",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / plan found, 1 diagnostics or plan violations,
 2 no plan within the bound, 3 solver or infrastructure error, 64 usage,
-65 malformed model document, 66 unreadable input file.
+65 malformed model or plan document, 66 unreadable input file.
 """
 
 from __future__ import annotations
@@ -60,24 +60,36 @@ def plan_to_document(result: Plan) -> dict:
     }
 
 
+def _typed(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise SchemaError(f"plan {what} must be {noun}")
+    return value
+
+
+def _values(document: dict, key: str) -> dict:
+    values = _typed(document.get(key, {}), dict, key)
+    return {k: _value_from_doc(v) for k, v in values.items()}
+
+
 def plan_from_document(document) -> Plan:
     if isinstance(document, str):
         document = json.loads(document)
-    happenings = tuple(
-        Happening(
-            applied=tuple(h.get("applied", [])),
-            layer0={k: _value_from_doc(v) for k, v in h.get("layer0", {}).items()},
-            layer1={k: _value_from_doc(v) for k, v in h.get("layer1", {}).items()},
-        )
-        for h in document.get("happenings", [])
-    )
+    _typed(document, dict, "document")
+    happenings = []
+    for h in _typed(document.get("happenings", []), list, "happenings"):
+        _typed(h, dict, "happening")
+        happenings.append(Happening(
+            applied=tuple(_typed(h.get("applied", []), list, "applied")),
+            layer0=_values(h, "layer0"),
+            layer1=_values(h, "layer1"),
+        ))
+    classes = _typed(document.get("classes", {}), dict, "classes")
     return Plan(
-        happenings=happenings,
+        happenings=tuple(happenings),
         bound_happenings=document.get("boundHappenings", len(happenings)),
-        classes={k: tuple(v) for k, v in document.get("classes", {}).items()},
-        parameters={
-            k: _value_from_doc(v) for k, v in document.get("parameters", {}).items()
-        },
+        classes={k: tuple(_typed(v, list, "class")) for k, v in classes.items()},
+        parameters=_values(document, "parameters"),
     )
 
 
@@ -141,17 +153,17 @@ def _load(args) -> CapabilityModel:
     return load_model(*paths)
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        command=args.solver_cmd,
-        timeout_seconds=args.timeout,
-        produce_unsat_cores=True,
-        random_seed=args.seed,
-        transcript=args.transcript,
-    )
-
-
 def _cmd_plan(args) -> int:
+    try:
+        solver = SolverConfig(
+            command=args.solver_cmd,
+            timeout_seconds=args.timeout,
+            random_seed=args.seed,
+            transcript=args.transcript,
+        )
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EX_USAGE
     model = _load(args)
     diagnostics = validate(model)
     if diagnostics:
@@ -159,7 +171,7 @@ def _cmd_plan(args) -> int:
             print(f"{diag.code} {diag.element_id}: {diag.message}", file=sys.stderr)
         return EX_DATAERR
     config = PlannerConfig(
-        solver=_solver_config(args),
+        solver=solver,
         expanded=args.expanded_synonyms,
         incremental=args.incremental,
         minimize=args.minimize_core,
@@ -187,7 +199,7 @@ def _cmd_dump_smt(args) -> int:
     model = _load(args)
     index = build_index(model)
     encoding = build(model, index, args.bound, expanded=args.expanded_synonyms)
-    text = emit(encoding, produce_cores=True, random_seed=args.seed)
+    text = emit(encoding, random_seed=args.seed)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -312,7 +324,7 @@ def main(argv=None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except SchemaError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
+        print(f"malformed document: {exc}", file=sys.stderr)
         return EX_DATAERR
     except CapPlanError as exc:
         print(f"error: {exc}", file=sys.stderr)

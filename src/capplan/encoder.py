@@ -66,12 +66,10 @@ class Assertion:
 @dataclass
 class Encoding:
     bound: int
-    expanded: bool
     logic: str
     variables: dict  # symbol -> VariableKey, in declaration order
     assertions: list
     classes: dict  # class id -> tuple of member property ids
-    state_ids: tuple  # variable identities, one per class (or property)
     unbound_inputs: dict = field(default_factory=dict)  # cap id -> (prop, state)
     by_name: dict = field(default_factory=dict)
 
@@ -83,12 +81,10 @@ class Encoding:
         keep = set(names)
         return Encoding(
             bound=self.bound,
-            expanded=self.expanded,
             logic=self.logic,
             variables=self.variables,
             assertions=[a for a in self.assertions if a.name in keep],
             classes=self.classes,
-            state_ids=self.state_ids,
             unbound_inputs=self.unbound_inputs,
         )
 
@@ -416,14 +412,6 @@ def select_logic(model: CapabilityModel) -> str:
     return "QF_LRA"
 
 
-def declare_variables(model: CapabilityModel, index: SynonymyIndex, bound: int,
-                      expanded: bool = False) -> dict:
-    """The variable table alone; build() includes it in the full encoding."""
-    builder = _Builder(model, index, bound, expanded)
-    builder.declare_variables()
-    return builder.variables
-
-
 def build(model: CapabilityModel, index: SynonymyIndex, bound: int,
           expanded: bool = False) -> Encoding:
     """Build the complete encoding for happenings 0..bound.
@@ -459,11 +447,9 @@ def build(model: CapabilityModel, index: SynonymyIndex, bound: int,
             unbound_inputs[cap.id] = entries
     return Encoding(
         bound=bound,
-        expanded=expanded,
         logic=select_logic(model),
         variables=builder.variables,
         assertions=builder.assertions,
         classes=classes,
-        state_ids=builder.state_ids,
         unbound_inputs=unbound_inputs,
     )

@@ -31,10 +31,6 @@ LOGICAL_OPERATORS = ("and", "or", "not")
 #: Operators accepted in input documents.
 OPERATORS = ARITHMETIC_OPERATORS + RELATIONAL_OPERATORS + LOGICAL_OPERATORS
 
-#: Operators the encoder may additionally use in internal terms.  They are
-#: rejected by parse_expression so they never appear in user documents.
-INTERNAL_OPERATORS = ("implies",)
-
 # (min arity, max arity or None for unbounded)
 _ARITY = {
     "not": (1, 1),
@@ -306,17 +302,6 @@ def evaluate(expr: Expression, valuation: Mapping[str, Value]) -> Value:
             raise DivisionByZero("division by zero")
         return args[0] / args[1]
     raise UnknownOperator(f"unknown operator {op!r}")
-
-
-def serialize_expression(expr: Expression) -> dict:
-    """Inverse of parse_expression; numbers become decimal strings."""
-    if isinstance(expr, Const):
-        if isinstance(expr.value, bool):
-            return {"const": expr.value}
-        return {"const": number_to_text(expr.value)}
-    if isinstance(expr, Ref):
-        return {"ref": expr.property_id}
-    return {"apply": expr.op, "args": [serialize_expression(a) for a in expr.args]}
 
 
 # Builders used by the encoder and test fixtures; they flatten degenerate

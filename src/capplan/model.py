@@ -1,9 +1,8 @@
 """Capability data model: typed properties, carriers, capabilities.
 
 Parses the canonical JSON-shaped document format, resolves every
-reference, validates the type invariants and partitions properties into
-boolean and real variables.  Models are immutable after construction and
-safe to share across threads.
+reference and validates the type invariants.  Models are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -357,6 +356,8 @@ def _parse_capability(doc, entity_ids, properties) -> Capability:
             if not isinstance(prop_ids, list):
                 raise SchemaError(f"capability {cid}: port properties must be a list")
             for prop_id in prop_ids:
+                if not isinstance(prop_id, str):
+                    raise SchemaError(f"capability {cid}: {prop_id!r} is not a string")
                 if prop_id not in properties:
                     raise DanglingReference(
                         f"capability {cid}: unknown property {prop_id!r}"
@@ -378,70 +379,6 @@ def _parse_capability(doc, entity_ids, properties) -> Capability:
         outputs=parse_ports("outputs"),
         constraints=constraints,
     )
-
-
-def serialize_model(model: CapabilityModel) -> dict:
-    """Inverse of parse_model (parse_model(serialize_model(m)) == m)."""
-
-    def instance_doc(desc: InstanceDescription) -> dict:
-        doc = {"expressionGoal": desc.goal.value, "relation": desc.relation.value}
-        if desc.value is not None:
-            doc["value"] = (
-                desc.value if isinstance(desc.value, bool) else ex.number_to_text(desc.value)
-            )
-        return doc
-
-    def property_doc(prop: Property) -> dict:
-        return {
-            "id": prop.id,
-            "typeDescription": prop.type_description.id,
-            "instanceDescriptions": [instance_doc(d) for d in prop.instance_descriptions],
-        }
-
-    def port_doc(port: CapabilityPort) -> dict:
-        return {"entity": port.entity_id, "properties": list(port.property_ids)}
-
-    def capability_doc(cap: Capability) -> dict:
-        return {
-            "id": cap.id,
-            "kind": cap.kind.value,
-            "inputs": [port_doc(p) for p in cap.inputs],
-            "outputs": [port_doc(p) for p in cap.outputs],
-            "constraints": [ex.serialize_expression(c) for c in cap.constraints],
-        }
-
-    return {
-        "typeDescriptions": [
-            {
-                "id": td.id,
-                "datatype": td.datatype.value,
-                **({"unit": td.unit} if td.unit else {}),
-                **({"label": td.label} if td.label else {}),
-            }
-            for td in model.type_descriptions.values()
-        ],
-        "products": [
-            {
-                "id": p.id,
-                "productTypeId": p.product_type_id,
-                "properties": [property_doc(q) for q in p.properties],
-            }
-            for p in model.products.values()
-        ],
-        "resources": [
-            {"id": r.id, "properties": [property_doc(q) for q in r.properties]}
-            for r in model.resources.values()
-        ],
-        "information": [
-            {
-                "id": i.id,
-                "typeId": i.type_id,
-                "properties": [property_doc(q) for q in i.properties],
-            }
-            for i in model.information.values()
-        ],
-        "capabilities": [capability_doc(c) for c in model.capabilities()],
-    }
 
 
 def validate(model: CapabilityModel) -> list:
@@ -532,17 +469,6 @@ def validate(model: CapabilityModel) -> list:
                     )
 
     return diagnostics
-
-
-def partition_properties(model: CapabilityModel):
-    """Split all properties by datatype: (boolean set P, real set R)."""
-    booleans = frozenset(
-        p for p in model.all_properties() if p.datatype is Datatype.BOOLEAN
-    )
-    reals = frozenset(
-        p for p in model.all_properties() if p.datatype is Datatype.REAL
-    )
-    return booleans, reals
 
 
 def load_model(*paths) -> CapabilityModel:

@@ -113,9 +113,7 @@ def plan(model: CapabilityModel, max_happenings: int,
         for bound in range(max_happenings + 1):
             encoding = build(model, index, bound, expanded=config.expanded)
             if session is None:
-                text = emit(encoding, produce_cores=solver.produce_unsat_cores,
-                            random_seed=solver.random_seed)
-                result = solve(text, solver)
+                result = solve(emit(encoding, random_seed=solver.random_seed), solver)
             else:
                 result = session.solve(encoding)
             if result.is_sat:
@@ -158,9 +156,7 @@ class _Incremental:
         if self.process is None or self.process.closed:
             self.process = SmtProcess(self.solver)
             self.declared, self.asserted = set(), set()
-            lines = script_header(encoding.logic, produce_models=True,
-                                  produce_cores=self.solver.produce_unsat_cores,
-                                  random_seed=self.solver.random_seed)
+            lines = script_header(encoding.logic, self.solver.random_seed)
         else:
             lines = ["(pop 1)"]
         for symbol, key in encoding.variables.items():
@@ -170,21 +166,21 @@ class _Incremental:
         goal = []
         for assertion in encoding.assertions:
             if assertion.retractable:
-                goal.append(self._line(assertion))
+                goal.append(_line(assertion))
             elif assertion.name not in self.asserted:
                 self.asserted.add(assertion.name)
-                lines.append(self._line(assertion))
+                lines.append(_line(assertion))
         lines.append("(push 1)")
         lines += goal
         return self.process.exchange("\n".join(lines) + "\n")
 
-    def _line(self, assertion) -> str:
-        return assertion_line(assertion.name, _render_term(assertion.term),
-                              self.solver.produce_unsat_cores)
-
     def close(self) -> None:
         if self.process is not None:
             self.process.close()
+
+
+def _line(assertion) -> str:
+    return assertion_line(assertion.name, _render_term(assertion.term))
 
 
 def extract_plan(encoding: Encoding, valuation: dict) -> Plan:

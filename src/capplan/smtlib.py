@@ -3,9 +3,11 @@
 The encoding is rendered to plain SMT-LIB2 text, piped to any solver
 executable on its standard input, and the answer (sat + model, unsat +
 core, unknown) is parsed back: by solve(), one process per script, or
-by SmtProcess, one process for push/pop solving.  Values are kept as
-exact rationals throughout, so a model can be rechecked against the
-oracle without float drift.
+by SmtProcess, one process for push/pop solving.  Every script has one
+shape, set by script_header() and assertion_line(): it asks for models
+and unsat cores and names every assertion.  Values are kept as exact
+rationals throughout, so a model can be rechecked against the oracle
+without float drift.
 
 Answers are read with `capplan.sexp`, the one S-expression reader the
 reference solver also reads scripts with, and both paths interpret its
@@ -61,13 +63,18 @@ class SolverConfig:
 
     command: Union[str, list]
     timeout_seconds: float = 60.0
-    produce_unsat_cores: bool = True
     random_seed: Optional[int] = None
     transcript: Optional[Union[str, Path]] = None
 
     def __post_init__(self):
         if self.timeout_seconds <= 0:
             raise ValueError("timeout_seconds must be positive")
+        try:
+            argv = self.argv()
+        except ValueError as exc:
+            raise ValueError(f"solver command cannot be split: {exc}") from None
+        if not argv:
+            raise ValueError("solver command is empty")
 
     def argv(self) -> list:
         if isinstance(self.command, str):
@@ -123,15 +130,11 @@ def _render_term(term) -> str:
     return f"({op} {args})"
 
 
-def script_header(logic: str, produce_models: bool, produce_cores: bool,
-                  random_seed: Optional[int]) -> list:
+def script_header(logic: str, random_seed: Optional[int]) -> list:
     """The option lines and set-logic that open every script, one-shot or
     incremental."""
-    lines = []
-    if produce_models:
-        lines.append("(set-option :produce-models true)")
-    if produce_cores:
-        lines.append("(set-option :produce-unsat-cores true)")
+    lines = ["(set-option :produce-models true)",
+             "(set-option :produce-unsat-cores true)"]
     if random_seed is not None:
         lines.append(f"(set-option :random-seed {random_seed})")
     lines.append(f"(set-logic {logic})")
@@ -143,31 +146,21 @@ def declaration(symbol: str, key) -> str:
     return f"(declare-const {format_symbol(symbol)} {sort})"
 
 
-def assertion_line(name: str, body: str, named: bool) -> str:
-    """An assert command; named assertions can appear in unsat cores."""
-    if named:
-        return f"(assert (! {body} :named {format_symbol(name)}))"
-    return f"(assert {body})"
+def assertion_line(name: str, body: str) -> str:
+    """A named assert command, so that it can appear in unsat cores."""
+    return f"(assert (! {body} :named {format_symbol(name)}))"
 
 
-def emit(encoding: Encoding, produce_cores: bool = True,
-         random_seed: Optional[int] = None) -> str:
-    """Render the encoding as a self-contained SMT-LIB2 script.
+def emit(encoding: Encoding, random_seed: Optional[int] = None) -> str:
+    """Render the encoding as a self-contained SMT-LIB2 script that asks
+    for the model on sat and the core on unsat.
 
     Byte-deterministic: the same encoding always yields the same text.
     """
-    has_vars = bool(encoding.variables)
-    lines = script_header(encoding.logic, has_vars, produce_cores, random_seed)
+    lines = script_header(encoding.logic, random_seed)
     lines += [declaration(symbol, key) for symbol, key in encoding.variables.items()]
-    lines += [
-        assertion_line(a.name, _render_term(a.term), produce_cores)
-        for a in encoding.assertions
-    ]
-    lines.append("(check-sat)")
-    if has_vars:
-        lines.append("(get-model)")
-    if produce_cores:
-        lines.append("(get-unsat-core)")
+    lines += [assertion_line(a.name, _render_term(a.term)) for a in encoding.assertions]
+    lines += ["(check-sat)", "(get-model)", "(get-unsat-core)"]
     return "\n".join(lines) + "\n"
 
 
@@ -237,7 +230,7 @@ def _status(node) -> str:
     return node
 
 
-def parse_answer(text: str, expect_core: bool) -> SolveOutcome:
+def parse_answer(text: str) -> SolveOutcome:
     """Interpret a one-shot script's output as SmtProcess reads it: the
     first node that is not skipped is the status, and the nodes after it
     hold the model or the core."""
@@ -251,7 +244,7 @@ def parse_answer(text: str, expect_core: bool) -> SolveOutcome:
     if status == "sat":
         return SolveOutcome(status="sat", valuation=_valuation(rest))
     if status == "unsat":
-        return SolveOutcome(status="unsat", core=_core(rest) if expect_core else None)
+        return SolveOutcome(status="unsat", core=_core(rest))
     return SolveOutcome(status="unknown", reason=SOLVER_UNKNOWN)
 
 
@@ -290,7 +283,7 @@ def solve(text: str, config: SolverConfig) -> SolveOutcome:
         raise SolverProtocolError(
             f"solver produced no output (stderr: {stderr.strip()[:300]!r})"
         )
-    return parse_answer(stdout, expect_core=config.produce_unsat_cores)
+    return parse_answer(stdout)
 
 
 def minimize_core(encoding: Encoding, core: list, config: SolverConfig) -> list:
@@ -307,8 +300,7 @@ def minimize_core(encoding: Encoding, core: list, config: SolverConfig) -> list:
         if name not in kept:
             continue
         trial = [n for n in kept if n != name]
-        text = emit(encoding.restricted(trial), produce_cores=True,
-                    random_seed=config.random_seed)
+        text = emit(encoding.restricted(trial), random_seed=config.random_seed)
         outcome = solve(text, config)
         if outcome.is_unsat:
             kept = [n for n in trial if outcome.core is None or n in outcome.core]
@@ -407,8 +399,7 @@ class SmtProcess:
             if status == "sat":
                 return SolveOutcome(status="sat", valuation=self.get_model())
             if status == "unsat":
-                core = self.get_unsat_core() if self.config.produce_unsat_cores else None
-                return SolveOutcome(status="unsat", core=core)
+                return SolveOutcome(status="unsat", core=self.get_unsat_core())
             return SolveOutcome(status="unknown", reason=SOLVER_UNKNOWN)
         except TimeoutError:
             self.close(grace=0)

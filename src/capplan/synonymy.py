@@ -64,16 +64,6 @@ class SynonymyIndex:
         return cls.member_ids
 
 
-def synonymous_products(model: CapabilityModel) -> list:
-    """Partition product and information ids by their type identifier."""
-    blocks: dict = {}
-    for product in model.products.values():
-        blocks.setdefault(("product", product.product_type_id), set()).add(product.id)
-    for info in model.information.values():
-        blocks.setdefault(("information", info.type_id), set()).add(info.id)
-    return [frozenset(ids) for _, ids in sorted(blocks.items())]
-
-
 def _entity_block_key(model: CapabilityModel, carrier) -> tuple:
     if isinstance(carrier, Product):
         return ("product", carrier.product_type_id)
@@ -84,7 +74,7 @@ def _entity_block_key(model: CapabilityModel, carrier) -> tuple:
     return ("resource-property",)
 
 
-def synonymous_properties(model: CapabilityModel) -> SynonymyIndex:
+def build_index(model: CapabilityModel) -> SynonymyIndex:
     """Group properties into classes: same carrier block and same type
     description, or the identical resource property."""
     groups: dict = {}
@@ -165,11 +155,6 @@ def effect_sets(model: CapabilityModel, cap: Capability) -> EffectSets:
         negative=frozenset(negative),
         numeric=frozenset(numeric),
     )
-
-
-def build_index(model: CapabilityModel) -> SynonymyIndex:
-    """Convenience entry point used by the encoder, planner and oracle."""
-    return synonymous_properties(model)
 
 
 def affecting_capabilities(index: SynonymyIndex, class_id: str, kind: str) -> tuple:

@@ -13,7 +13,7 @@ import pytest
 
 import fixtures
 from capplan.cli import main as cli_main
-from capplan.encoder import build, declare_variables
+from capplan.encoder import build
 from capplan.errors import DomainTooLarge
 from capplan.model import validate
 from capplan.oracle import brute_force_plan, simulate
@@ -207,7 +207,6 @@ def test_criterion_6_determinism_and_variable_count_law(suite):
                 model.provided
             )
             assert len(encoding.variables) == expected
-            assert len(declare_variables(model, index, bound)) == expected
     _ok(6, f"byte-identical emission and variable-count law on "
            f"{len(fixtures_models)} models x {SUITE_MAX_BOUND + 1} bounds")
 

@@ -211,6 +211,55 @@ def test_usage_error_negative_bound(docs, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("option", [
+    ["--solver-cmd", ""],
+    ["--solver-cmd", "python -c 'x"],
+    ["--solver-cmd", SOLVER, "--timeout", "0"],
+], ids=["empty-command", "unbalanced-quote", "zero-timeout"])
+def test_unusable_solver_options_are_usage_errors(docs, capsys, option):
+    code, out, err = run(
+        ["plan", "--domain", docs["domain"], "--problem", docs["problem"],
+         "--max-happenings", "1", *option],
+        capsys,
+    )
+    assert code == 64
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("plan_doc", [
+    [1],
+    {"happenings": [1]},
+    {"happenings": {"applied": []}},
+    {"happenings": [{"applied": "Transport"}]},
+    {"happenings": [{"applied": [], "layer0": []}]},
+    {"happenings": [], "parameters": ["TargetPosition"]},
+    {"happenings": [], "classes": ["AGVPosition"]},
+    {"happenings": [], "classes": {"AGVPosition": 1}},
+], ids=["list-document", "number-happening", "object-happenings", "string-applied",
+        "list-layer", "list-parameters", "list-classes", "number-class"])
+def test_malformed_plan_document_exits_65(docs, capsys, tmp_path, plan_doc):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan_doc))
+    code, _, err = run(
+        ["check", "--plan", str(plan_path), "--domain", docs["domain"],
+         "--problem", docs["problem"]],
+        capsys,
+    )
+    assert code == 65
+    assert "must be" in err
+
+
+def test_non_string_port_property_exits_65(capsys, tmp_path):
+    doc = fixtures.transport_single_doc()
+    doc["capabilities"][0]["inputs"][0]["properties"] = [["x"]]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["validate", "--model", str(path)], capsys)
+    assert code == 65
+    assert "is not a string" in err
+
+
 def test_boolean_plan_document_round_trip(capsys, tmp_path):
     doc = {
         "typeDescriptions": [{"id": "td.on", "datatype": "Boolean"}],

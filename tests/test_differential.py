@@ -69,8 +69,7 @@ def test_translation_fidelity(term, a, b, c):
     lines.append(f"(assert {_render_term(term)})")
     lines.append("(check-sat)")
     outcome = solve("\n".join(lines) + "\n",
-                    SolverConfig(command=fixtures.REFSOLVER_CMD,
-                                 produce_unsat_cores=False))
+                    SolverConfig(command=fixtures.REFSOLVER_CMD))
     assert outcome.status == ("sat" if expected else "unsat")
 
 
@@ -96,12 +95,10 @@ def _pin_plan(encoding: Encoding, plan: Plan) -> Encoding:
                 counter += 1
     return Encoding(
         bound=encoding.bound,
-        expanded=encoding.expanded,
         logic=encoding.logic,
         variables=encoding.variables,
         assertions=list(encoding.assertions) + pins,
         classes=encoding.classes,
-        state_ids=encoding.state_ids,
         unbound_inputs=encoding.unbound_inputs,
     )
 

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import fixtures
 from capplan import expr as ex
-from capplan.encoder import build, declare_variables
+from capplan.encoder import build
 from capplan.model import Datatype, merge_documents, parse_model
 from capplan.smtlib import emit
 from capplan.synonymy import build_index
@@ -20,7 +20,7 @@ def _distinct_model():
 
 def _counts(model, bound, expanded=False):
     index = build_index(model)
-    variables = declare_variables(model, index, bound, expanded)
+    variables = build(model, index, bound, expanded).variables
     reals = sum(1 for k in variables.values()
                 if k.kind == "prop" and k.sort is Datatype.REAL)
     bools = sum(1 for k in variables.values()

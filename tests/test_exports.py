@@ -21,7 +21,6 @@ EXPORTS = {
     "brute_force_plan": "oracle",
     "build": "encoder",
     "build_index": "synonymy",
-    "declare_variables": "encoder",
     "effect_sets": "synonymy",
     "emit": "smtlib",
     "explain": "planner",
@@ -30,13 +29,9 @@ EXPORTS = {
     "merge_documents": "model",
     "minimize_core": "smtlib",
     "parse_model": "model",
-    "partition_properties": "model",
     "plan": "planner",
-    "serialize_model": "model",
     "simulate": "oracle",
     "solve": "smtlib",
-    "synonymous_products": "synonymy",
-    "synonymous_properties": "synonymy",
     "validate": "model",
 }
 

@@ -154,8 +154,3 @@ def test_evaluate_depends_only_on_references(term, a, b, c, noise):
     assert ex.evaluate(term, base) == ex.evaluate(term, {**base})
     if set(valuation) == set(ex.references(term)):
         assert ex.evaluate(term, base) == ex.evaluate(term, valuation_noisy | valuation)
-
-
-@given(_comparison())
-def test_serialize_round_trip(term):
-    assert ex.parse_expression(ex.serialize_expression(term)) == term

@@ -7,8 +7,6 @@ from capplan.model import (
     Datatype,
     merge_documents,
     parse_model,
-    partition_properties,
-    serialize_model,
     validate,
 )
 
@@ -86,6 +84,14 @@ def test_required_capability_count_is_enforced():
         parse_model(both)  # two required
 
 
+@pytest.mark.parametrize("prop_id", [["x"], {"id": "x"}, 3, None])
+def test_port_property_ids_must_be_strings(prop_id):
+    doc = _tiny_doc([])
+    doc["capabilities"][0]["outputs"][0]["properties"] = [prop_id]
+    with pytest.raises(SchemaError, match="is not a string"):
+        parse_model(doc)
+
+
 def test_duplicate_ids_rejected_on_merge():
     merged = merge_documents(fixtures.transport_domain(), fixtures.transport_domain())
     with pytest.raises(DuplicateId):
@@ -147,68 +153,6 @@ def test_validate_actual_value_shape():
     doc = _tiny_doc([{"expressionGoal": "actualValue"}])
     codes = [d.code for d in validate(parse_model(doc))]
     assert "ActualValueShape" in codes
-
-
-def test_partition_transport():
-    model = parse_model(fixtures.transport_single_doc())
-    booleans, reals = partition_properties(model)
-    assert booleans == frozenset()
-    assert {p.id for p in reals} == {
-        "CurrentProductPosition",
-        "AGVPosition",
-        "TargetPosition",
-        "ProductPositionAfter",
-    }
-
-
-def test_partition_mixed_datatypes():
-    doc = {
-        "typeDescriptions": [
-            {"id": "td.closed", "datatype": "Boolean"},
-            {"id": "td.width", "datatype": "Real"},
-        ],
-        "resources": [
-            {
-                "id": "Gripper",
-                "properties": [
-                    {"id": "gripperClosed", "typeDescription": "td.closed"},
-                    {"id": "jawWidth", "typeDescription": "td.width"},
-                ],
-            }
-        ],
-        "capabilities": [{"id": "req", "kind": "required", "inputs": [],
-                          "outputs": []}],
-    }
-    booleans, reals = partition_properties(parse_model(doc))
-    assert {p.id for p in booleans} == {"gripperClosed"}
-    assert {p.id for p in reals} == {"jawWidth"}
-
-
-def test_partition_empty_model():
-    doc = {"capabilities": [{"id": "req", "kind": "required"}]}
-    booleans, reals = partition_properties(parse_model(doc))
-    assert booleans == frozenset() and reals == frozenset()
-
-
-def test_partition_is_disjoint_cover():
-    for seed in range(12):
-        model = fixtures.random_model(seed)
-        booleans, reals = partition_properties(model)
-        assert booleans | reals == frozenset(model.all_properties())
-        assert not booleans & reals
-
-
-def test_serialize_round_trip():
-    for build in (
-        fixtures.transport_model,
-        fixtures.drive_transport_model,
-        lambda: parse_model(fixtures.transport_single_doc()),
-    ):
-        model = build()
-        assert parse_model(serialize_model(model)) == model
-    for seed in range(8):
-        model = fixtures.random_model(seed)
-        assert parse_model(serialize_model(model)) == model
 
 
 def test_instance_values_are_exact():

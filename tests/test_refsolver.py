@@ -316,7 +316,7 @@ def test_ten_station_chain_needs_ten_happenings():
     index = build_index(model)
     assert run_inprocess(emit(build(model, index, 8))).startswith("unsat")
     encoding = build(model, index, 9)
-    outcome = parse_answer(run_inprocess(emit(encoding)), expect_core=True)
+    outcome = parse_answer(run_inprocess(emit(encoding)))
     assert outcome.is_sat
     found = extract_plan(encoding, outcome.valuation)
     assert [h.applied for h in found.happenings] == [(f"move{i}",) for i in range(10)]
@@ -329,8 +329,8 @@ def test_all_statistics_describe_the_last_check_sat():
     from capplan.synonymy import build_index
 
     model = _station_chain(4)
-    script = emit(build(model, build_index(model), 2), produce_cores=False)
-    script = script.replace("(get-model)", "")
+    script = emit(build(model, build_index(model), 2))
+    script = script.replace("(get-model)", "").replace("(get-unsat-core)", "")
     out = run_inprocess(script + "(get-info :all-statistics)(get-info :version)")
     status, stats, version = parse_sexprs(out)
     assert status == "unsat"
@@ -409,7 +409,7 @@ def test_cores_on_the_random_suite_are_unsat_and_smaller():
         index = build_index(model)
         for bound in range(3):
             encoding = build(model, index, bound)
-            outcome = parse_answer(run_inprocess(emit(encoding)), expect_core=True)
+            outcome = parse_answer(run_inprocess(emit(encoding)))
             if not outcome.is_unsat:
                 continue
             assert outcome.core and set(outcome.core) <= set(encoding.by_name)
@@ -446,7 +446,7 @@ def test_core_never_names_a_popped_assertion():
 def _model(out: str) -> dict:
     from capplan.smtlib import parse_answer
 
-    outcome = parse_answer(out, expect_core=False)
+    outcome = parse_answer(out)
     assert outcome.is_sat, out
     return outcome.valuation
 
@@ -599,7 +599,7 @@ def test_the_station_chain_needs_less_than_half_the_decisions():
     index = build_index(model)
     decisions = 0
     for bound in range(8):
-        out = run_inprocess(emit(build(model, index, bound), produce_cores=False)
+        out = run_inprocess(emit(build(model, index, bound))
                             + "(get-info :all-statistics)")
         stats = parse_sexprs(out)[-1]
         decisions += int(stats[stats.index(":decisions") + 1])

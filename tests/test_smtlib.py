@@ -50,7 +50,10 @@ def test_emit_matches_golden_file():
 def test_emit_empty_encoding_is_header_and_check_sat():
     model = parse_model({"capabilities": [{"id": "req", "kind": "required"}]})
     encoding = build(model, build_index(model), 0)
-    assert emit(encoding, produce_cores=False) == "(set-logic QF_LRA)\n(check-sat)\n"
+    assert emit(encoding) == (
+        "(set-option :produce-models true)\n(set-option :produce-unsat-cores true)\n"
+        "(set-logic QF_LRA)\n(check-sat)\n(get-model)\n(get-unsat-core)\n"
+    )
 
 
 def test_emit_nonlinear_header():
@@ -70,12 +73,18 @@ def test_emit_nonlinear_header():
     assert text.splitlines()[2] == "(set-logic QF_NRA)"
 
 
+@pytest.mark.parametrize("command", ["", "   ", [], "python -c 'x"])
+def test_unusable_solver_command_is_rejected(command):
+    with pytest.raises(ValueError, match="solver command"):
+        SolverConfig(command=command)
+
+
 def test_solve_single_forced_value():
     text = (
         "(set-option :produce-models true)\n(set-logic QF_LRA)\n"
         "(declare-const x Real)\n(assert (= x 5.0))\n(check-sat)\n(get-model)\n"
     )
-    outcome = solve(text, _config(produce_unsat_cores=False))
+    outcome = solve(text, _config())
     assert outcome.is_sat
     assert outcome.valuation == {"x": Fraction(5)}
 
@@ -105,7 +114,7 @@ def test_rational_fidelity():
         "(set-option :produce-models true)\n(set-logic QF_LRA)\n"
         "(declare-const x Real)\n(assert (= x (/ 1 3)))\n(check-sat)\n(get-model)\n"
     )
-    outcome = solve(text, _config(produce_unsat_cores=False))
+    outcome = solve(text, _config())
     assert outcome.valuation["x"] == Fraction(1, 3)
 
 
@@ -123,28 +132,28 @@ def test_parse_answer_skips_errors_and_wrappers():
     text = (
         'unsat\n(error "model is not available")\n(a1 a2)\n'
     )
-    outcome = parse_answer(text, expect_core=True)
+    outcome = parse_answer(text)
     assert outcome.core == ["a1", "a2"]
     text = "sat\n(model (define-fun |x#t0#l0| () Real (- (/ 1 2))))\n" \
            '(error "no core")\n'
-    outcome = parse_answer(text, expect_core=True)
+    outcome = parse_answer(text)
     assert outcome.valuation == {"x#t0#l0": Fraction(-1, 2)}
 
 
 def test_parse_answer_bare_define_fun_list():
     text = "sat\n((define-fun x () Real 2.0)\n (define-fun b () Bool true))\n"
-    outcome = parse_answer(text, expect_core=False)
+    outcome = parse_answer(text)
     assert outcome.valuation == {"x": Fraction(2), "b": True}
 
 
 def test_parse_answer_without_status_is_protocol_error():
     with pytest.raises(SolverProtocolError):
-        parse_answer("flubber\n", expect_core=False)
+        parse_answer("flubber\n")
 
 
 def test_unterminated_quoted_symbol_is_protocol_error():
     with pytest.raises(SolverProtocolError, match="unterminated quoted symbol"):
-        parse_answer("sat\n(model (define-fun |x () Real 1.0))\n", expect_core=False)
+        parse_answer("sat\n(model (define-fun |x () Real 1.0))\n")
 
 
 def test_multi_megabyte_model_is_read_within_the_timeout():
@@ -257,7 +266,7 @@ def test_transcript_capture(tmp_path):
     # before it is closed.
     path = tmp_path / "incremental.smt2"
     script = "(set-logic QF_LRA)\n(declare-const x Real)\n(assert (= x 5.0))\n"
-    process = SmtProcess(_config(transcript=path, produce_unsat_cores=False))
+    process = SmtProcess(_config(transcript=path))
     try:
         outcome = process.exchange(script)
         content = path.read_text()

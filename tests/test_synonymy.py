@@ -1,27 +1,21 @@
 import fixtures
 from capplan.model import parse_model
-from capplan.synonymy import (
-    build_index,
-    effect_sets,
-    mutex_pairs,
-    synonymous_products,
-    synonymous_properties,
-)
-
-
-def test_synonymous_products_by_type():
-    model = fixtures.transport_model()
-    blocks = synonymous_products(model)
-    part_a = next(b for b in blocks if "Input_Product" in b)
-    assert part_a == {"Input_Product", "Output_Product", "Requested_Product"}
-    assert frozenset({"TransportOrder"}) in blocks
+from capplan.synonymy import build_index, effect_sets, mutex_pairs
 
 
 def test_information_and_products_do_not_mix():
-    model = fixtures.drive_transport_model()
-    blocks = synonymous_products(model)
-    assert frozenset({"TransportOrder"}) in blocks
-    assert frozenset({"DriveOrder"}) in blocks
+    # A product and an information entity with the same type id and type
+    # description keep their properties in separate classes.
+    doc = {
+        "typeDescriptions": [{"id": "td.pos", "datatype": "Real"}],
+        "products": [{"id": "part", "productTypeId": "T", "properties": [
+            {"id": "part.pos", "typeDescription": "td.pos"}]}],
+        "information": [{"id": "order", "typeId": "T", "properties": [
+            {"id": "order.pos", "typeDescription": "td.pos"}]}],
+        "capabilities": [{"id": "req", "kind": "required"}],
+    }
+    index = build_index(parse_model(doc))
+    assert index.class_id("part.pos") != index.class_id("order.pos")
 
 
 def test_property_classes_transport():
@@ -99,7 +93,7 @@ def test_three_capabilities_sharing_one_class():
 def test_classes_partition_and_share_type():
     for seed in range(20):
         model = fixtures.random_model(seed)
-        index = synonymous_properties(model)
+        index = build_index(model)
         seen = set()
         for cls in index.classes:
             assert not (set(cls.member_ids) & seen)
