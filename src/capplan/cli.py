@@ -79,15 +79,21 @@ def plan_from_document(document) -> Plan:
     happenings = []
     for h in _typed(document.get("happenings", []), list, "happenings"):
         _typed(h, dict, "happening")
+        applied = tuple(_typed(h.get("applied", []), list, "applied"))
+        if not all(isinstance(cap_id, str) for cap_id in applied):
+            raise SchemaError("plan applied entries must be capability id strings")
         happenings.append(Happening(
-            applied=tuple(_typed(h.get("applied", []), list, "applied")),
+            applied=applied,
             layer0=_values(h, "layer0"),
             layer1=_values(h, "layer1"),
         ))
     classes = _typed(document.get("classes", {}), dict, "classes")
+    bound = document.get("boundHappenings", len(happenings))
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+        raise SchemaError("plan boundHappenings must be a non-negative integer")
     return Plan(
         happenings=tuple(happenings),
-        bound_happenings=document.get("boundHappenings", len(happenings)),
+        bound_happenings=bound,
         classes={k: tuple(_typed(v, list, "class")) for k, v in classes.items()},
         parameters=_values(document, "parameters"),
     )
@@ -309,9 +315,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
-    if getattr(args, "max_happenings", 0) and args.max_happenings < 0:
-        print("--max-happenings must be >= 0", file=sys.stderr)
-        return EX_USAGE
+    for option in ("max_happenings", "bound"):
+        if getattr(args, option, 0) < 0:
+            print(f"--{option.replace('_', '-')} must be >= 0", file=sys.stderr)
+            return EX_USAGE
     try:
         return args.func(args)
     except FileNotFoundError as exc:

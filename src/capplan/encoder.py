@@ -3,13 +3,28 @@
 One happening is a moment of discrete change with two layers: layer 0
 holds the variable values before capabilities apply, layer 1 the values
 afterwards.  The encoding for bound n declares variables for happenings
-0..n and asserts, in a fixed deterministic order: boundary conditions,
-capability preconditions/effects/constraints, layer frame axioms, mutexes
-and cross-happening continuation.
+0..n and asserts blocks of assertions in a fixed deterministic order:
 
-Only the goal side (the goal family, plus the goal alignment in expanded
-mode) moves with the bound; it is marked retractable.  Every other
-assertion reads the same at every larger bound.
+1. the boundary block: initial conditions, the goal at (n,1) and, in
+   expanded mode, the alignment of synonyms;
+2. one block per happening of each happening family, family by family:
+   capability semantics (pre/eff/constraint/prop) for happenings 0..n,
+   layer frame axioms for 0..n, mutexes for 0..n, Boolean continuation
+   for 1..n and Real continuation for 1..n.
+
+Only the boundary block depends on the bound.  Its goal side (the goal
+family, plus the goal alignment in expanded mode) is marked retractable;
+every other assertion reads the same at every larger bound.  Happening
+blocks do not depend on the bound at all, so build() takes the encoding of
+another bound as `previous`, reuses its happening blocks and its shared
+Ref table, and builds only the blocks of the happenings it lacks.
+
+Each block names its assertions with its own allocator.  Names of
+different blocks never collide: different families start with different
+words (the two continuation families end differently), and within one
+family the `t<k>` component fixes the happening.  So a `~n` suffix only
+comes from a clash within one block, and every name is the one a single
+allocator over the whole encoding would give.
 
 By default one SMT variable is created per synonymy class, which makes
 synonym propagation and boundary alignment hold by construction.  The
@@ -63,6 +78,17 @@ class Assertion:
     retractable: bool = False
 
 
+@dataclass(frozen=True, slots=True)
+class _Blocks:
+    """What build() reuses of an encoding for another bound."""
+
+    expanded: bool
+    refs: dict  # (kind, ident, t, layer) -> ex.Ref, shared by every term
+    # Per happening family, in emission order: one tuple of assertions per
+    # happening 0..bound.
+    happenings: tuple
+
+
 @dataclass
 class Encoding:
     bound: int
@@ -72,6 +98,7 @@ class Encoding:
     classes: dict  # class id -> tuple of member property ids
     unbound_inputs: dict = field(default_factory=dict)  # cap id -> (prop, state)
     by_name: dict = field(default_factory=dict)
+    blocks: Optional[_Blocks] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.by_name:
@@ -86,6 +113,7 @@ class Encoding:
             assertions=[a for a in self.assertions if a.name in keep],
             classes=self.classes,
             unbound_inputs=self.unbound_inputs,
+            blocks=self.blocks,
         )
 
 
@@ -107,20 +135,27 @@ class _Names:
 
 
 class _Builder:
-    def __init__(self, model: CapabilityModel, index: SynonymyIndex, bound: int,
-                 expanded: bool):
+    def __init__(self, model: CapabilityModel, index: SynonymyIndex,
+                 expanded: bool, refs: dict):
         self.model = model
         self.index = index
-        self.bound = bound
         self.expanded = expanded
         self.names = _Names()
         self.assertions: list = []
         self.variables: dict = {}
-        self.refs: dict = {}  # (kind, ident, t, layer) -> ex.Ref
+        self.refs = refs  # (kind, ident, t, layer) -> ex.Ref
+        self.caps = tuple(sorted(model.provided, key=lambda c: c.id))
         if expanded:
             self.state_ids = tuple(sorted(model.properties))
         else:
             self.state_ids = tuple(sorted(c.class_id for c in index.classes))
+
+    def block(self, fill, *args) -> tuple:
+        """The assertions fill(self, *args) makes, named by a fresh
+        allocator."""
+        self.names, self.assertions = _Names(), []
+        fill(self, *args)
+        return tuple(self.assertions)
 
     # -- variables ---------------------------------------------------------
 
@@ -132,15 +167,15 @@ class _Builder:
     def state_sort(self, state_id: str) -> Datatype:
         return self.model.properties[state_id].datatype
 
-    def declare_variables(self) -> None:
+    def declare_variables(self, bound: int) -> None:
         for state in self.state_ids:
             sort = self.state_sort(state)
-            for t in range(self.bound + 1):
+            for t in range(bound + 1):
                 for layer in (0, 1):
                     key = VariableKey("prop", state, t, layer, sort)
                     self._declare(key)
-        for cap in sorted(self.model.provided, key=lambda c: c.id):
-            for t in range(self.bound + 1):
+        for cap in self.caps:
+            for t in range(bound + 1):
                 self._declare(VariableKey("cap", cap.id, t, None, Datatype.BOOLEAN))
 
     def _declare(self, key: VariableKey) -> None:
@@ -183,25 +218,27 @@ class _Builder:
                              layer_in: int, t_out: int, layer_out: int):
         """Map property references to variables: outputs of the capability
         land on the out layer, everything else on the in layer."""
-        outputs = cap.output_property_ids()
+        return self._place(constraint, cap.output_property_ids(),
+                           (t_in, layer_in), (t_out, layer_out))
 
-        def walk(node):
-            if isinstance(node, ex.Ref):
-                if node.property_id in outputs:
-                    return self.prop(node.property_id, t_out, layer_out)
-                return self.prop(node.property_id, t_in, layer_in)
-            if isinstance(node, ex.Apply):
-                if node.op not in ex.OPERATORS:
-                    raise UnsupportedExpression(f"operator {node.op!r} in constraint")
-                return ex.Apply(node.op, tuple(walk(a) for a in node.args))
-            return node
-
-        return walk(constraint)
+    def _place(self, node, outputs, in_at, out_at):
+        # A method, not a nested function calling itself: that would be a
+        # reference cycle keeping the builder alive until the cycle
+        # collector runs.
+        if isinstance(node, ex.Ref):
+            at = out_at if node.property_id in outputs else in_at
+            return self.prop(node.property_id, *at)
+        if isinstance(node, ex.Apply):
+            if node.op not in ex.OPERATORS:
+                raise UnsupportedExpression(f"operator {node.op!r} in constraint")
+            return ex.Apply(node.op, tuple(
+                self._place(a, outputs, in_at, out_at) for a in node.args
+            ))
+        return node
 
     # -- assertion families --------------------------------------------------
 
-    def assert_boundaries(self) -> None:
-        n = self.bound
+    def assert_boundaries(self, n: int) -> None:
         required = self.model.required
         required_inputs = required.input_property_ids()
         required_outputs = required.output_property_ids()
@@ -253,13 +290,12 @@ class _Builder:
                       "goal.constraint", required.id, i, retractable=True)
 
         if self.expanded:
-            self._assert_alignment()
+            self._assert_alignment(n)
 
-    def _assert_alignment(self) -> None:
+    def _assert_alignment(self, n: int) -> None:
         """Expanded mode only: synonymous properties share one value at the
         initial layer, and goal-side synonyms are pinned together.  With
         class-collapsed variables both hold by construction."""
-        n = self.bound
         for cls in self.index.classes:
             rep = cls.class_id
             for member in cls.member_ids:
@@ -279,7 +315,7 @@ class _Builder:
                           retractable=True)
 
     def assert_capability_semantics(self, t: int) -> None:
-        for cap in sorted(self.model.provided, key=lambda c: c.id):
+        for cap in self.caps:
             cap_var = self.cap(cap.id, t)
             effects = self.index.effects[cap.id]
 
@@ -372,36 +408,52 @@ class _Builder:
                 self.emit(term, "frame", state, t, "frame", state, f"t{t}", "real")
 
     def assert_mutexes(self, t: int) -> None:
+        # Terms are immutable, so each `(not cap)` serves every pair it is in.
+        idle = {cap.id: ex.negate(self.cap(cap.id, t)) for cap in self.caps}
         for first, second in mutex_pairs(self.model, self.index):
-            term = ex.disj(
-                [ex.negate(self.cap(first, t)), ex.negate(self.cap(second, t))]
-            )
+            term = ex.disj([idle[first], idle[second]])
             self.emit(term, "mutex", f"{first}|{second}", t,
                       "mutex", first, second, f"t{t}")
 
-    def assert_happening_continuation(self) -> None:
-        # Booleans and reals are kept in separate assertion families so the
-        # boolean side can later diverge for durative behavior.
-        for t in range(1, self.bound + 1):
-            for state in self.state_ids:
-                if self.state_sort(state) is not Datatype.BOOLEAN:
-                    continue
-                now = self.state_ref(state, t, 0)
-                prev = self.state_ref(state, t - 1, 1)
-                self.emit(ex.implies(now, prev), "cont", state, t,
-                          "cont", state, f"t{t}", "pos")
-                self.emit(
-                    ex.implies(ex.negate(now), ex.negate(prev)),
-                    "cont", state, t, "cont", state, f"t{t}", "neg",
-                )
-        for t in range(1, self.bound + 1):
-            for state in self.state_ids:
-                if self.state_sort(state) is Datatype.BOOLEAN:
-                    continue
-                term = ex.apply_op(
-                    "eq", self.state_ref(state, t, 0), self.state_ref(state, t - 1, 1)
-                )
-                self.emit(term, "cont", state, t, "cont", state, f"t{t}", "real")
+    # Booleans and reals are kept in separate assertion families so the
+    # boolean side can later diverge for durative behavior.
+
+    def assert_boolean_continuation(self, t: int) -> None:
+        if t == 0:
+            return  # happening 0 continues nothing
+        for state in self.state_ids:
+            if self.state_sort(state) is not Datatype.BOOLEAN:
+                continue
+            now = self.state_ref(state, t, 0)
+            prev = self.state_ref(state, t - 1, 1)
+            self.emit(ex.implies(now, prev), "cont", state, t,
+                      "cont", state, f"t{t}", "pos")
+            self.emit(
+                ex.implies(ex.negate(now), ex.negate(prev)),
+                "cont", state, t, "cont", state, f"t{t}", "neg",
+            )
+
+    def assert_real_continuation(self, t: int) -> None:
+        if t == 0:
+            return
+        for state in self.state_ids:
+            if self.state_sort(state) is Datatype.BOOLEAN:
+                continue
+            term = ex.apply_op(
+                "eq", self.state_ref(state, t, 0), self.state_ref(state, t - 1, 1)
+            )
+            self.emit(term, "cont", state, t, "cont", state, f"t{t}", "real")
+
+
+# The happening families, in emission order; each asserts the block of one
+# happening.
+_HAPPENING_FAMILIES = (
+    _Builder.assert_capability_semantics,
+    _Builder.assert_layer_frame_axioms,
+    _Builder.assert_mutexes,
+    _Builder.assert_boolean_continuation,
+    _Builder.assert_real_continuation,
+)
 
 
 def select_logic(model: CapabilityModel) -> str:
@@ -413,24 +465,31 @@ def select_logic(model: CapabilityModel) -> str:
 
 
 def build(model: CapabilityModel, index: SynonymyIndex, bound: int,
-          expanded: bool = False) -> Encoding:
+          expanded: bool = False, previous: Optional[Encoding] = None) -> Encoding:
     """Build the complete encoding for happenings 0..bound.
 
-    Pure and deterministic: identical inputs produce identical assertion
-    lists, byte for byte after emission.
+    `previous` is an encoding that build() made from the same model, index
+    and mode, at any bound.  Its happening blocks and Ref table are reused,
+    and only the happenings it lacks are encoded; the result does not
+    depend on it.  Pure and deterministic: identical inputs produce
+    identical assertion lists, byte for byte after emission.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    builder = _Builder(model, index, bound, expanded)
-    builder.declare_variables()
-    builder.assert_boundaries()
-    for t in range(bound + 1):
-        builder.assert_capability_semantics(t)
-    for t in range(bound + 1):
-        builder.assert_layer_frame_axioms(t)
-    for t in range(bound + 1):
-        builder.assert_mutexes(t)
-    builder.assert_happening_continuation()
+    reused = previous.blocks if previous is not None else None
+    if reused is not None and reused.expanded != expanded:
+        raise ValueError("previous encoding was built in the other synonym mode")
+    builder = _Builder(model, index, expanded, dict(reused.refs) if reused else {})
+    builder.declare_variables(bound)
+    happenings = []
+    for f, fill in enumerate(_HAPPENING_FAMILIES):
+        blocks = list(reused.happenings[f][: bound + 1]) if reused else []
+        blocks += [builder.block(fill, t) for t in range(len(blocks), bound + 1)]
+        happenings.append(tuple(blocks))
+    assertions = list(builder.block(_Builder.assert_boundaries, bound))
+    for blocks in happenings:
+        for block in blocks:
+            assertions += block
 
     classes = {
         cls.class_id: cls.member_ids for cls in index.classes
@@ -449,7 +508,8 @@ def build(model: CapabilityModel, index: SynonymyIndex, bound: int,
         bound=bound,
         logic=select_logic(model),
         variables=builder.variables,
-        assertions=builder.assertions,
+        assertions=assertions,
         classes=classes,
         unbound_inputs=unbound_inputs,
+        blocks=_Blocks(expanded, builder.refs, tuple(happenings)),
     )

@@ -109,9 +109,12 @@ def plan(model: CapabilityModel, max_happenings: int,
     outcomes = []
     last_core = None
     last_encoding = None
+    encoding = None
     try:
         for bound in range(max_happenings + 1):
-            encoding = build(model, index, bound, expanded=config.expanded)
+            # Each bound reuses the happening blocks of the one before.
+            encoding = build(model, index, bound, expanded=config.expanded,
+                             previous=encoding)
             if session is None:
                 result = solve(emit(encoding, random_seed=solver.random_seed), solver)
             else:

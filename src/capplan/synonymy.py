@@ -6,6 +6,10 @@ same type are synonymous; their same-typed properties are synonymous and
 are closed transitively into classes.  The encoder creates one state
 variable per class, so a capability writing one member is visible to every
 capability reading another.
+
+The index also holds the tables the encoder and the oracle read at every
+happening: the mutex pairs and, per class, the capabilities affecting it.
+They depend only on the model, so build_index computes them once.
 """
 
 from __future__ import annotations
@@ -47,12 +51,21 @@ class EffectSets:
     numeric: frozenset
 
 
+# The effect kinds a class can be affected by, as named in EffectSets.
+_KINDS = ("positive", "negative", "numeric")
+
+
 @dataclass
 class SynonymyIndex:
     classes: tuple
     class_of: dict
     syn_props: dict
     effects: dict
+    # (class id, kind) -> provided capability ids, sorted; see
+    # affecting_capabilities.
+    affecting: dict
+    # Unordered provided-capability pairs, sorted; see mutex_pairs.
+    mutexes: tuple
 
     def class_id(self, property_id: str) -> str:
         return self.class_of[property_id].class_id
@@ -103,15 +116,15 @@ def build_index(model: CapabilityModel) -> SynonymyIndex:
             class_of[pid] = cls
             syn_props[pid] = frozenset(m for m in member_ids if m != pid)
 
-    index = SynonymyIndex(
+    effects = {cap.id: effect_sets(model, cap) for cap in model.provided}
+    return SynonymyIndex(
         classes=tuple(classes),
         class_of=class_of,
         syn_props=syn_props,
-        effects={},
+        effects=effects,
+        affecting=_affecting(classes, effects),
+        mutexes=_mutexes(model, class_of),
     )
-    for cap in model.provided:
-        index.effects[cap.id] = effect_sets(model, cap)
-    return index
 
 
 def effect_sets(model: CapabilityModel, cap: Capability) -> EffectSets:
@@ -157,36 +170,46 @@ def effect_sets(model: CapabilityModel, cap: Capability) -> EffectSets:
     )
 
 
-def affecting_capabilities(index: SynonymyIndex, class_id: str, kind: str) -> tuple:
-    """Provided capabilities with an effect of the given sign on any member
-    of the class ('positive', 'negative' or 'numeric').
+def _affecting(classes, effects: dict) -> dict:
+    """Per class and kind, the provided capabilities with an effect of that
+    kind on any member of the class.
 
     This is the per-class union of the direct and synonymous-capability
     sets: reading "directly related" as "directly affected" keeps a
     capability that only writes the synonym of its own input inside the
     frame disjunction, which the transport pattern requires.
     """
-    members = set(index.members(class_id))
-    out = []
-    for cap_id in sorted(index.effects):
-        sets = index.effects[cap_id]
-        pool = getattr(sets, kind)
-        if pool & members:
-            out.append(cap_id)
-    return tuple(out)
+    table = {}
+    for cls in classes:
+        members = set(cls.member_ids)
+        for kind in _KINDS:
+            table[cls.class_id, kind] = tuple(
+                cap_id for cap_id in sorted(effects)
+                if getattr(effects[cap_id], kind) & members
+            )
+    return table
+
+
+def _mutexes(model: CapabilityModel, class_of: dict) -> tuple:
+    caps = sorted(model.provided, key=lambda c: c.id)
+    touched = [
+        {class_of[p].class_id for p in cap.attached_property_ids()} for cap in caps
+    ]
+    return tuple(
+        (first.id, caps[j].id)
+        for i, first in enumerate(caps)
+        for j in range(i + 1, len(caps))
+        if touched[i] & touched[j]
+    )
+
+
+def affecting_capabilities(index: SynonymyIndex, class_id: str, kind: str) -> tuple:
+    """Provided capabilities with an effect of the given kind ('positive',
+    'negative' or 'numeric') on any member of the class."""
+    return index.affecting[class_id, kind]
 
 
 def mutex_pairs(model: CapabilityModel, index: SynonymyIndex) -> tuple:
     """Unordered provided-capability pairs whose input/output property sets,
-    mapped to classes, intersect."""
-    caps = sorted(model.provided, key=lambda c: c.id)
-    pairs = []
-    for i, first in enumerate(caps):
-        first_classes = {index.class_id(p) for p in first.attached_property_ids()}
-        for second in caps[i + 1 :]:
-            second_classes = {
-                index.class_id(p) for p in second.attached_property_ids()
-            }
-            if first_classes & second_classes:
-                pairs.append((first.id, second.id))
-    return tuple(pairs)
+    mapped to classes, intersect.  `index` must be build_index(model)."""
+    return index.mutexes

@@ -211,6 +211,17 @@ def test_usage_error_negative_bound(docs, capsys):
     assert code == 64
 
 
+def test_dump_smt_negative_bound_is_a_usage_error(docs, capsys):
+    code, out, err = run(
+        ["dump-smt", "--domain", docs["domain"], "--problem", docs["problem"],
+         "--bound", "-1"],
+        capsys,
+    )
+    assert code == 64
+    assert out == ""
+    assert err == "--bound must be >= 0\n"
+
+
 @pytest.mark.parametrize("option", [
     ["--solver-cmd", ""],
     ["--solver-cmd", "python -c 'x"],
@@ -236,8 +247,13 @@ def test_unusable_solver_options_are_usage_errors(docs, capsys, option):
     {"happenings": [], "parameters": ["TargetPosition"]},
     {"happenings": [], "classes": ["AGVPosition"]},
     {"happenings": [], "classes": {"AGVPosition": 1}},
+    {"happenings": [{"applied": [1]}]},
+    {"boundHappenings": "x", "happenings": []},
+    {"boundHappenings": -1, "happenings": []},
+    {"boundHappenings": True, "happenings": []},
 ], ids=["list-document", "number-happening", "object-happenings", "string-applied",
-        "list-layer", "list-parameters", "list-classes", "number-class"])
+        "list-layer", "list-parameters", "list-classes", "number-class",
+        "number-applied-entry", "string-bound", "negative-bound", "boolean-bound"])
 def test_malformed_plan_document_exits_65(docs, capsys, tmp_path, plan_doc):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan_doc))

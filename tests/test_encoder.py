@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -53,25 +56,105 @@ def test_variable_count_law():
             assert len(encoding.variables) == expected
 
 
+def _chain(model, index, bound, expanded=False):
+    """The encoding for `bound` reached through every smaller bound."""
+    encoding = None
+    for n in range(bound + 1):
+        encoding = build(model, index, n, expanded, previous=encoding)
+    return encoding
+
+
 @pytest.mark.parametrize("expanded", [False, True])
 def test_references_to_one_variable_share_one_ref(expanded):
     model = fixtures.transport_model()
-    encoding = build(model, build_index(model), 2, expanded=expanded)
-    nodes: dict = {}
-    uses: dict = {}
+    index = build_index(model)
+    # The chained encoding mixes blocks reused from bounds 0 and 1 with the
+    # blocks built at bound 2 and the boundary block.
+    for encoding in (build(model, index, 2, expanded=expanded),
+                     _chain(model, index, 2, expanded)):
+        nodes: dict = {}
+        uses: dict = {}
 
-    def walk(node):
-        if isinstance(node, ex.Ref):
-            nodes.setdefault(node.property_id, set()).add(id(node))
-            uses[node.property_id] = uses.get(node.property_id, 0) + 1
-        elif isinstance(node, ex.Apply):
-            for arg in node.args:
-                walk(arg)
+        def walk(node):
+            if isinstance(node, ex.Ref):
+                nodes.setdefault(node.property_id, set()).add(id(node))
+                uses[node.property_id] = uses.get(node.property_id, 0) + 1
+            elif isinstance(node, ex.Apply):
+                for arg in node.args:
+                    walk(arg)
 
-    for assertion in encoding.assertions:
-        walk(assertion.term)
-    assert max(uses.values()) > 1
-    assert all(len(ids) == 1 for ids in nodes.values())
+        for assertion in encoding.assertions:
+            walk(assertion.term)
+        assert max(uses.values()) > 1
+        assert all(len(ids) == 1 for ids in nodes.values())
+
+
+def test_reused_blocks_emit_what_a_fresh_build_emits():
+    models = [fixtures.transport_model(), fixtures.drive_transport_model()]
+    models += [fixtures.random_model(seed) for seed in range(40)]
+    for model in models:
+        index = build_index(model)
+        for expanded in (False, True):
+            fresh = [emit(build(model, index, n, expanded)) for n in range(4)]
+            encoding = None
+            for n in range(4):
+                encoding = build(model, index, n, expanded, previous=encoding)
+                assert emit(encoding) == fresh[n]
+            # A larger bound lends its first happenings to a smaller one.
+            assert emit(build(model, index, 1, expanded, previous=encoding)) == fresh[1]
+
+
+def test_names_clashing_after_sanitising_match_on_both_paths():
+    doc = {
+        "typeDescriptions": [{"id": "td.x", "datatype": "Real"}],
+        "products": [
+            {"id": "P", "productTypeId": "T", "properties": [
+                {"id": "x", "typeDescription": "td.x",
+                 "instanceDescriptions": [
+                     {"expressionGoal": "assurance", "value": "1"}]}]}
+        ],
+        "capabilities": [
+            {"id": cap_id, "kind": "provided", "inputs": [],
+             "outputs": [{"entity": "P", "properties": ["x"]}]}
+            for cap_id in ("a b", "a_b")
+        ] + [{"id": "req", "kind": "required", "inputs": [], "outputs": []}],
+    }
+    model = parse_model(doc)
+    index = build_index(model)
+    fresh = _assertion_names(build(model, index, 2))
+    assert _assertion_names(_chain(model, index, 2)) == fresh
+    assert len(set(fresh)) == len(fresh)
+    for t in range(3):
+        assert f"eff.a_b.t{t}" in fresh
+        assert f"eff.a_b.t{t}~2" in fresh
+
+
+def test_reuse_keeps_no_reference_to_the_previous_encoding():
+    # The planner keeps the last unsat encoding for explanations, so one
+    # encoding must not keep every smaller bound's alive.  And a build
+    # leaves no reference cycle, so what it does not return is freed at
+    # once, not whenever the cycle collector runs.
+    model = fixtures.drive_transport_model()
+    index = build_index(model)
+    gc.collect()
+    gc.disable()
+    try:
+        previous = build(model, index, 0)
+        gone = weakref.ref(previous)
+        encoding = build(model, index, 1, previous=previous)
+        del previous
+        assert gone() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert encoding.bound == 1
+
+
+def test_previous_encoding_of_the_other_mode_is_rejected():
+    model = fixtures.transport_model()
+    index = build_index(model)
+    with pytest.raises(ValueError):
+        build(model, index, 1, expanded=True, previous=build(model, index, 0))
 
 
 def test_expanded_variable_count():

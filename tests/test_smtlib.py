@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import fixtures
 from capplan.encoder import build
 from capplan.errors import SolverLaunchError, SolverProtocolError
-from capplan.model import merge_documents, parse_model
+from capplan.model import load_model, merge_documents, parse_model
 from capplan.smtlib import (
     SmtProcess,
     SolverConfig,
@@ -23,6 +23,8 @@ from capplan.smtlib import (
 from capplan.synonymy import build_index
 
 GOLDEN = Path(__file__).parent / "golden" / "transport_distinct_n0.smt2"
+GOLDEN_CHAINED = GOLDEN.parent / "chained_n2.smt2"
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
 def _config(**overrides):
@@ -45,6 +47,20 @@ def test_emit_matches_golden_file():
     assert text == GOLDEN.read_text()
     assert "(declare-const |ProductPositionAfter#t0#l1| Real)" in text
     assert ":named pre.Transport.t0" in text
+
+
+def test_chained_example_at_bound_2_matches_golden_file():
+    # Pins the order across happenings, for a fresh build and for one that
+    # reuses the blocks of bounds 0 and 1.
+    model = load_model(EXAMPLES / "chained_domain.json",
+                       EXAMPLES / "transport_problem.json")
+    index = build_index(model)
+    golden = GOLDEN_CHAINED.read_text()
+    assert emit(build(model, index, 2)) == golden
+    encoding = None
+    for bound in range(3):
+        encoding = build(model, index, bound, previous=encoding)
+    assert emit(encoding) == golden
 
 
 def test_emit_empty_encoding_is_header_and_check_sat():
