@@ -105,15 +105,19 @@ class Encoding:
             self.by_name = {a.name: a for a in self.assertions}
 
     def restricted(self, names) -> "Encoding":
+        """The named assertions, in this encoding's order, and only the
+        variables they reference.  Nothing of the reuse state is kept, so
+        it cannot seed build()."""
         keep = set(names)
+        assertions = [a for a in self.assertions if a.name in keep]
+        used = set().union(*(ex.references(a.term) for a in assertions))
         return Encoding(
             bound=self.bound,
             logic=self.logic,
-            variables=self.variables,
-            assertions=[a for a in self.assertions if a.name in keep],
+            variables={s: k for s, k in self.variables.items() if s in used},
+            assertions=assertions,
             classes=self.classes,
             unbound_inputs=self.unbound_inputs,
-            blocks=self.blocks,
         )
 
 

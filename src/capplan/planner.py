@@ -64,6 +64,10 @@ class BoundOutcome:
 
 @dataclass
 class NoPlanFound:
+    """Every bound up to the maximum failed.  `last_core` is the core of
+    the last unsat bound, minimized if asked; `last_encoding` is that
+    bound's encoding restricted to `last_core`, enough to explain it."""
+
     outcomes: tuple
     all_unsat: bool
     last_core: Optional[list] = None
@@ -132,6 +136,8 @@ def plan(model: CapabilityModel, max_happenings: int,
             session.close()
     if config.minimize and last_core:
         last_core = minimize_core(last_encoding, last_core, solver)
+    if last_encoding is not None:
+        last_encoding = last_encoding.restricted(last_core or ())
     return NoPlanFound(
         outcomes=tuple(outcomes),
         all_unsat=all(o.status == "unsat" for o in outcomes),

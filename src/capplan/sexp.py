@@ -141,7 +141,7 @@ class SexpReader:
 def quote(name: str) -> str:
     """`name` as a symbol: bare when it is a simple symbol, else between
     bars.  A name holding `|` or `\\` has no quoted form."""
-    if name and all(c in SIMPLE_SYMBOL_CHARS for c in name) and not name[0].isdigit():
+    if name and SIMPLE_SYMBOL_CHARS.issuperset(name) and not name[0].isdigit():
         return name
     return f"|{name}|"
 

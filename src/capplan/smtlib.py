@@ -3,11 +3,12 @@
 The encoding is rendered to plain SMT-LIB2 text, piped to any solver
 executable on its standard input, and the answer (sat + model, unsat +
 core, unknown) is parsed back: by solve(), one process per script, or
-by SmtProcess, one process for push/pop solving.  Every script has one
-shape, set by script_header() and assertion_line(): it asks for models
-and unsat cores and names every assertion.  Values are kept as exact
-rationals throughout, so a model can be rechecked against the oracle
-without float drift.
+by SmtProcess, one process for push/pop solving (incremental planning
+and core minimization).  Every script has one shape, set by
+script_header() and assertion_line(): it asks for models and unsat
+cores and names every assertion.  Values are kept as exact rationals
+throughout, so a model can be rechecked against the oracle without
+float drift.
 
 Answers are read with `capplan.sexp`, the one S-expression reader the
 reference solver also reads scripts with, and both paths interpret its
@@ -287,25 +288,44 @@ def solve(text: str, config: SolverConfig) -> SolveOutcome:
 
 
 def minimize_core(encoding: Encoding, core: list, config: SolverConfig) -> list:
-    """Deletion-based core minimization via repeated one-shot solves.
+    """Deletion-based core minimization in one solver session.
 
     Starting from the solver's core, each member in turn is dropped and
-    the rest re-solved; when that trial is unsat, its own core prunes the
+    the rest re-checked; when that trial is unsat, its own core prunes the
     candidates still to be tried, so a solver with small cores needs few
-    solves.  The result is a minimal unsatisfiable subset: dropping any
+    checks.  The process is sent the script header and every declaration
+    once; each trial asserts its members under (push 1), in encoding
+    order, and is popped before the next, so the solver checks the
+    assertions of a one-shot script of encoding.restricted(trial).  A trial
+    that times out counts as not unsat, and the next trial starts a fresh
+    process.  The result is a minimal unsatisfiable subset: dropping any
     single member makes the remainder satisfiable.
     """
-    kept = [name for name in core if name in encoding.by_name]
-    for name in list(kept):
-        if name not in kept:
-            continue
-        trial = [n for n in kept if n != name]
-        text = emit(encoding.restricted(trial), random_seed=config.random_seed)
-        outcome = solve(text, config)
-        if outcome.is_unsat:
-            kept = [n for n in trial if outcome.core is None or n in outcome.core]
     order = {a.name: i for i, a in enumerate(encoding.assertions)}
-    return sorted(kept, key=lambda n: order[n])
+    kept = [name for name in core if name in order]
+    lines = {name: assertion_line(name, _render_term(encoding.by_name[name].term))
+             for name in kept}
+    process = None
+    try:
+        for name in list(kept):
+            if name not in kept:
+                continue
+            trial = [n for n in kept if n != name]
+            if process is None or process.closed:
+                process = SmtProcess(config)
+                text = script_header(encoding.logic, config.random_seed)
+                text += [declaration(s, k) for s, k in encoding.variables.items()]
+            else:
+                text = ["(pop 1)"]
+            text.append("(push 1)")
+            text += [lines[n] for n in sorted(set(trial), key=order.__getitem__)]
+            outcome = process.exchange("\n".join(text) + "\n")
+            if outcome.is_unsat:
+                kept = [n for n in trial if outcome.core is None or n in outcome.core]
+    finally:
+        if process is not None:
+            process.close()
+    return sorted(kept, key=order.__getitem__)
 
 
 class SmtProcess:

@@ -70,12 +70,6 @@ class SynonymyIndex:
     def class_id(self, property_id: str) -> str:
         return self.class_of[property_id].class_id
 
-    def members(self, class_id: str) -> tuple:
-        cls = self.class_of[class_id]
-        if cls.class_id != class_id:
-            raise KeyError(class_id)
-        return cls.member_ids
-
 
 def _entity_block_key(model: CapabilityModel, carrier) -> tuple:
     if isinstance(carrier, Product):

@@ -9,12 +9,27 @@ property suites.
 
 from __future__ import annotations
 
+import io
 import random
 import sys
 
 from capplan.model import merge_documents, parse_model
+from capplan.refsolver import RefSolver
+from capplan.sexp import SexpReader
 
 REFSOLVER_CMD = [sys.executable, "-m", "capplan.refsolver"]
+
+
+def run_inprocess(text: str) -> str:
+    """The reference solver's output for a script, run in this process."""
+    out = io.StringIO()
+    solver = RefSolver(out)
+    reader = SexpReader(io.StringIO(text))
+    while True:
+        sexp = reader.read()
+        if sexp is None or not solver.execute(sexp):
+            break
+    return out.getvalue()
 
 
 def _actual(value):

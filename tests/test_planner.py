@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import fixtures
+from capplan import expr as ex
 from capplan.encoder import build
 from capplan.errors import (
     CoresUnavailable,
@@ -147,12 +148,26 @@ def test_raw_core_of_contradictory_boundaries_is_a_proper_subset():
     model = fixtures.contradictory_model()
     result = plan(model, 1, _config())
     assert isinstance(result, NoPlanFound)
-    names = [a.name for a in result.last_encoding.assertions]
+    # last_encoding keeps only the core, so the names of the last unsat
+    # bound come from its full encoding.
+    names = [a.name for a in build(model, build_index(model), 1).assertions]
     assert set(result.last_core) < set(names)
     assert {"init.CurrentProductPosition",
             "init.RequestedPositionBefore"} <= set(result.last_core)
     restricted = emit(result.last_encoding.restricted(result.last_core))
     assert solve(restricted, _config().solver).is_unsat
+
+
+def test_last_encoding_keeps_only_the_core():
+    model = fixtures.inert_goal_model()
+    result = plan(model, 2, _config(minimize=True))
+    encoding = result.last_encoding
+    assert encoding.bound == 2
+    assert [a.name for a in encoding.assertions] == result.last_core
+    assert set(encoding.by_name) == set(result.last_core)
+    used = set().union(*(ex.references(a.term) for a in encoding.assertions))
+    assert set(encoding.variables) == used
+    assert encoding.blocks is None
 
 
 def test_explain_without_core_raises():

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
+from fixtures import run_inprocess
 from fm_reference import satisfied
-from capplan.refsolver import EQ, LE, LT, NE, Lin, RefSolver, SexpReader, feasible
+from capplan.refsolver import EQ, LE, LT, NE, Lin, SexpReader, feasible
 
 
 def run_script(text: str) -> str:
@@ -16,17 +17,6 @@ def run_script(text: str) -> str:
         fixtures.REFSOLVER_CMD, input=text.encode(), capture_output=True, timeout=60
     )
     return completed.stdout.decode()
-
-
-def run_inprocess(text: str) -> str:
-    out = io.StringIO()
-    solver = RefSolver(out)
-    reader = SexpReader(io.StringIO(text))
-    while True:
-        sexp = reader.read()
-        if sexp is None or not solver.execute(sexp):
-            break
-    return out.getvalue()
 
 
 # -- linear arithmetic core -----------------------------------------------------

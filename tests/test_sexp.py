@@ -2,8 +2,18 @@ import io
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from capplan.sexp import Reader, SexpError, SexpReader, parse_sexprs, quote, unquote
+from capplan.sexp import (
+    SIMPLE_SYMBOL_CHARS,
+    Reader,
+    SexpError,
+    SexpReader,
+    parse_sexprs,
+    quote,
+    unquote,
+)
 
 # Characters a quoted symbol or a string may hold besides letters: the
 # ones that mean something elsewhere (`;`, parentheses, the other quote,
@@ -137,3 +147,16 @@ def test_simple_symbols_stay_bare():
     assert quote("0x") == "|0x|"
     assert quote("a#b") == "|a#b|"
     assert quote("") == "||"
+
+
+def _quote_by_characters(name):
+    """quote() as it tested one character at a time: the reference for
+    its one set test."""
+    if name and all(c in SIMPLE_SYMBOL_CHARS for c in name) and not name[0].isdigit():
+        return name
+    return f"|{name}|"
+
+
+@given(st.text() | st.text(alphabet=sorted(SIMPLE_SYMBOL_CHARS) + ["#", "\n", "\u0663"]))
+def test_quote_agrees_with_a_character_by_character_test(name):
+    assert quote(name) == _quote_by_characters(name)

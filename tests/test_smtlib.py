@@ -1,4 +1,10 @@
+import json
+import re
+import shlex
+import signal
+import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,9 +13,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fixtures
+import capplan.smtlib as smtlib
+from capplan.cli import main as cli_main
 from capplan.encoder import build
 from capplan.errors import SolverLaunchError, SolverProtocolError
 from capplan.model import load_model, merge_documents, parse_model
+from capplan.oracle import brute_force_plan
 from capplan.smtlib import (
     SmtProcess,
     SolverConfig,
@@ -295,3 +304,197 @@ def test_transcript_capture(tmp_path):
         "; --- request ---\n(get-model)\n"
         "; --- response ---\n; (model\n;   (define-fun x () Real 5.0)\n; )\n"
     )
+
+
+# -- core minimization in one session ---------------------------------------
+
+
+def _reference_minimize(encoding, core):
+    """Deletion-based minimization by one one-shot script per trial: what
+    minimize_core must compute.  The reference solver answers each script
+    in this process, as it would through a pipe, without a spawn per
+    trial."""
+    kept = [name for name in core if name in encoding.by_name]
+    for name in list(kept):
+        if name not in kept:
+            continue
+        trial = [n for n in kept if n != name]
+        outcome = parse_answer(fixtures.run_inprocess(emit(encoding.restricted(trial))))
+        if outcome.is_unsat:
+            kept = [n for n in trial if outcome.core is None or n in outcome.core]
+    order = [a.name for a in encoding.assertions]
+    return sorted(kept, key=order.index)
+
+
+@pytest.fixture(scope="module")
+def no_plan_cores():
+    """(label, encoding, raw core, minimize_core's result) at the last
+    unsat bound of every no-plan model: the random fixtures without a plan
+    of at most three happenings (bound 2), the contradictory model and the
+    inert-goal model."""
+    models = [(f"random {seed}", fixtures.random_model(seed), 2) for seed in range(110)]
+    models = [(label, model, bound) for label, model, bound in models
+              if brute_force_plan(model, build_index(model), bound + 1) is None]
+    models += [("contradictory", fixtures.contradictory_model(), 1),
+               ("inert goal", fixtures.inert_goal_model(), 2)]
+    cases = []
+    for label, model, bound in models:
+        encoding = build(model, build_index(model), bound)
+        outcome = parse_answer(fixtures.run_inprocess(emit(encoding)))
+        assert outcome.is_unsat and outcome.core, label
+        minimal = minimize_core(encoding, outcome.core, _config())
+        cases.append((label, encoding, outcome.core, minimal))
+    return cases
+
+
+def test_minimize_core_equals_the_one_shot_deletion_loop(no_plan_cores):
+    assert len(no_plan_cores) > 50
+    for label, encoding, core, minimal in no_plan_cores:
+        assert minimal == _reference_minimize(encoding, core), label
+
+
+def test_minimized_cores_are_minimal(no_plan_cores):
+    for label, encoding, _, minimal in no_plan_cores:
+        assert parse_answer(fixtures.run_inprocess(
+            emit(encoding.restricted(minimal)))).is_unsat, label
+        for name in minimal:
+            rest = [n for n in minimal if n != name]
+            text = emit(encoding.restricted(rest))
+            assert parse_answer(fixtures.run_inprocess(text)).is_sat, (label, name)
+
+
+def test_minimize_core_starts_one_solver_process(monkeypatch):
+    # One process and one check-sat per trial; each trial asserts its
+    # members in encoding order, whatever the order of the core.
+    model = fixtures.inert_goal_model()
+    encoding = build(model, build_index(model), 2)
+    core = solve(emit(encoding), _config()).core
+    calls = {"__init__": [], "send": [], "check_sat": []}
+    for method, seen in calls.items():
+        original = getattr(SmtProcess, method)
+
+        def recorded(self, *args, _original=original, _seen=seen):
+            _seen.append(args)
+            return _original(self, *args)
+
+        monkeypatch.setattr(SmtProcess, method, recorded)
+    monkeypatch.setattr(smtlib, "solve", None)  # no one-shot solve either
+    assert minimize_core(encoding, core[::-1], _config()) == core
+    assert len(calls["__init__"]) == 1
+    assert len(calls["check_sat"]) == len(core)
+    order = [a.name for a in encoding.assertions]
+    trials = [re.findall(r":named (\S+)\)\)", text)
+              for (text,) in calls["send"] if "(push 1)" in text]
+    assert len(trials) == len(core)
+    assert all(names == sorted(names, key=order.index) for names in trials)
+
+
+def _sessions(transcript: str) -> list:
+    """The transcript cut at each script header, one piece per solver
+    process."""
+    opening = "; --- request ---\n(set-option :produce-models true)\n"
+    return [opening + piece for piece in transcript.split(opening)[1:]]
+
+
+def _recorded(transcript: str) -> str:
+    """The responses a transcript holds, as the solver wrote them."""
+    return "".join(line[2:] + "\n" for line in transcript.splitlines()
+                   if line.startswith("; ") and not line.startswith("; --- "))
+
+
+def test_minimization_transcript_is_one_session_that_replays(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(fixtures.random_model_doc(0)))
+    transcript = tmp_path / "transcript.smt2"
+    solver = " ".join(shlex.quote(part) for part in fixtures.REFSOLVER_CMD)
+    code = cli_main(["plan", "--model", str(model_path), "--max-happenings", "2",
+                     "--solver-cmd", solver, "--minimize-core",
+                     "--transcript", str(transcript)])
+    core = json.loads(capsys.readouterr().out)["explanation"]["core"]
+    assert code == 2
+    # One one-shot script per bound, then the minimization session: one
+    # push/pop check-sat per trial, and no header or declaration again.
+    *bounds, session = _sessions(transcript.read_text())
+    assert len(bounds) == 3
+    assert all(text.count("(check-sat)") == 1 for text in bounds)
+    trials = session.count("(check-sat)")
+    assert trials >= len(core) > 1
+    assert session.count("(push 1)") == trials
+    assert session.count("(pop 1)") == trials - 1
+    assert session.count("(set-logic ") == 1
+    replayed = subprocess.run(fixtures.REFSOLVER_CMD, input=session,
+                              capture_output=True, text=True, check=True)
+    assert replayed.stdout == _recorded(session)
+
+
+# The reference solver, except that the check-sat numbered `at`, counted
+# over every process in the counter file, hangs or exits unanswered.
+FAULTY_REFSOLVER = """
+import sys, time
+from pathlib import Path
+from capplan.refsolver import RefSolver
+from capplan.sexp import SexpReader
+counter, fault, at = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+reader, solver = SexpReader(sys.stdin), RefSolver(sys.stdout)
+while True:
+    sexp = reader.read()
+    if sexp is None:
+        break
+    if sexp == ["check-sat"]:
+        calls = int(counter.read_text()) + 1 if counter.exists() else 1
+        counter.write_text(str(calls))
+        if calls == at and fault == "hang":
+            time.sleep(60)
+        if calls == at and fault == "exit":
+            sys.exit(0)
+    solver.execute(sexp)
+"""
+
+
+def _faulty_solver(counter, fault, at):
+    return [sys.executable, "-c", FAULTY_REFSOLVER, str(counter), fault, str(at)]
+
+
+def test_minimize_core_goes_on_after_a_hung_trial(tmp_path, monkeypatch):
+    model = fixtures.inert_goal_model()
+    encoding = build(model, build_index(model), 2)
+    core = solve(emit(encoding), _config()).core
+    counter = tmp_path / "check_sats"
+    command = _faulty_solver(counter, "hang", 2)
+    processes = []
+    original = SmtProcess.__init__
+
+    def recorded(self, config):
+        processes.append(self)
+        original(self, config)
+
+    monkeypatch.setattr(SmtProcess, "__init__", recorded)
+    started = time.monotonic()
+    minimal = minimize_core(encoding, core, _config(command=command, timeout_seconds=1.0))
+    assert time.monotonic() - started < 10
+    # The hung trial counts as not unsat; the next trial started a fresh
+    # process, and every trial was checked.
+    assert len(processes) == 2
+    assert processes[0].proc.returncode == -signal.SIGKILL
+    assert int(counter.read_text()) == len(core)
+    assert solve(emit(encoding.restricted(minimal)), _config()).is_unsat
+
+
+def test_solver_exiting_mid_session_is_a_protocol_error(tmp_path, capsys):
+    model = fixtures.random_model(0)
+    encoding = build(model, build_index(model), 0)
+    core = solve(emit(encoding), _config()).core
+    assert len(core) > 2
+    command = _faulty_solver(tmp_path / "check_sats", "exit", 2)
+    with pytest.raises(SolverProtocolError):
+        minimize_core(encoding, core, _config(command=command))
+    # Through the CLI: bound 0 is check-sat 1, the session's trials come
+    # after it, and the solver exits at the second.
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(fixtures.random_model_doc(0)))
+    command = _faulty_solver(tmp_path / "cli_check_sats", "exit", 3)
+    code = cli_main(["plan", "--model", str(model_path), "--max-happenings", "0",
+                     "--solver-cmd", " ".join(shlex.quote(part) for part in command),
+                     "--minimize-core"])
+    assert code == 3
+    assert "solver" in capsys.readouterr().err

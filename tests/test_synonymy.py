@@ -84,7 +84,7 @@ def test_three_capabilities_sharing_one_class():
     }
     index = build_index(parse_model(doc))
     widths = ("p0.width", "p1.width", "p2.width")
-    assert index.members("p0.width") == widths
+    assert index.class_of["p0.width"].member_ids == widths
     for i in range(3):
         assert index.class_id(f"p{i}.width") == "p0.width"
         assert index.syn_props[f"p{i}.width"] == set(widths) - {f"p{i}.width"}
