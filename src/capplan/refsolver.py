@@ -7,14 +7,17 @@ push/pop, check-sat, get-model, get-unsat-core and
 Real symbols are not translated: a union-find merges their symbols, and
 every other assertion is translated with each symbol replaced by its
 class's representative.  Boolean structure is decided by a CDCL loop
-over a Tseitin CNF, with MiniSat's data structures: two watched literals
-per clause for unit propagation, and a binary heap of variable activities
-for decisions.  Linear constraints are decided exactly over the
-rationals by a backtrackable general simplex that follows the search:
-each atom is a bound on a variable or on a slack for its linear form,
-asserting a literal tightens a bound, backjumping restores it, and an
-infeasible row yields the literals of its bounds as a learned conflict
-clause.  Its numbers are ints while they are integral and Fractions only
+over a CNF, with MiniSat's data structures: two watched literals per
+clause for unit propagation, and a binary heap of variable activities
+for decisions.  A root assertion becomes clauses directly, each carrying
+the assertion's mask: a root `or` is one clause, a root `and` one set of
+clauses per conjunct.  Tseitin gates are made only below the root, for
+children that are not literals.  Linear constraints are decided exactly
+over the rationals by a backtrackable general simplex that follows the
+search: each atom is a bound on a variable or on a slack for its linear
+form, asserting a literal tightens a bound, backjumping restores it, and
+an infeasible row yields the literals of its bounds as a learned
+conflict clause.  Its numbers are ints while they are integral and Fractions only
 after an inexact division; no float enters it.  Binary bound axioms
 between the atoms of one variable are added to the CNF before the search,
 so that crossing bounds are ruled out by propagation.  Disequalities are
@@ -502,15 +505,22 @@ FALSE = ("const", False)
 
 
 class Skeleton:
-    """Interns boolean variables and linear atoms; builds a Tseitin CNF.
+    """Interns boolean variables and linear atoms; builds the CNF.
 
-    masks[i] says which root assertions clauses[i] stands for: for the
-    unit clause of a root, bit j of its assertion and the bits of the
-    equalities its translation read; 0 for a gate definition, which holds
-    whatever is asserted because its gate is a fresh variable, and for a
-    bound axiom, which holds in the theory.  No clause repeats a literal,
-    and none holds a literal and its negation: such a tautology is not
-    kept."""
+    A root assertion becomes clauses without a gate of its own: a root
+    `and` is asserted conjunct by conjunct, a root `or` is one clause of
+    its children's literals, and anything else is a one-literal clause.
+    Only a child that is not a literal gets a Tseitin gate, so gates are
+    made only below the root (Plaisted and Greenbaum, "A
+    Structure-preserving Clause Form Translation", JSC 1986).
+
+    masks[i] says which root assertions clauses[i] stands for: for a
+    root's clause, bit j of its assertion and the bits of the equalities
+    its translation read; 0 for a gate definition, which holds whatever
+    is asserted because its gate is a fresh variable, and for a bound
+    axiom, which holds in the theory.  No clause repeats a literal, and
+    none holds a literal and its negation: such a tautology, a root's or
+    a definition's, is not kept."""
 
     def __init__(self):
         self.var_count = 0
@@ -521,19 +531,29 @@ class Skeleton:
         self.masks: list = []
 
     def assert_root(self, node, mask: int) -> None:
-        """Add the (constant-free) node as a root clause that stands for
-        the root assertions in `mask`."""
-        self.clauses.append([self.tseitin(node)])
+        """Add the clauses of the (constant-free) node as root clauses
+        that stand for the root assertions in `mask`."""
+        kind, children = node
+        if kind == "and":
+            for child in children:
+                self.assert_root(child, mask)
+            return
+        if kind != "or":
+            children = [node]
+        self._add([child[1] if child[0] == "lit" else self.tseitin(child)
+                   for child in children], mask)
+
+    def _add(self, clause: list, mask: int) -> None:
+        if len(set(map(abs, clause))) < len(clause):
+            clause = list(dict.fromkeys(clause))
+            if len(set(map(abs, clause))) < len(clause):
+                return  # a literal and its negation
+        self.clauses.append(clause)
         self.masks.append(mask)
 
     def _define(self, clauses) -> None:
         for clause in clauses:
-            if len(set(map(abs, clause))) < len(clause):
-                clause = list(dict.fromkeys(clause))
-                if len(set(map(abs, clause))) < len(clause):
-                    continue  # a literal and its negation
-            self.clauses.append(clause)
-            self.masks.append(0)
+            self._add(clause, 0)
 
     def new_var(self) -> int:
         self.var_count += 1
@@ -820,9 +840,11 @@ class Translator:
 # -- DPLL ----------------------------------------------------------------------
 
 
-# What `(get-info :all-statistics)` reports about the last check-sat.
+# What `(get-info :all-statistics)` reports about the last check-sat: the
+# search's counts, then the size of the CNF it started from (bound axioms
+# included).
 STATISTICS = ("decisions", "conflicts", "learned-clauses", "theory-checks",
-              "theory-conflicts", "pivots")
+              "theory-conflicts", "pivots", "variables", "clauses")
 
 
 class Dpll:
@@ -1112,7 +1134,8 @@ class Dpll:
         learned = len(self.clauses) - len(self.sk.clauses)
         theory = self.theory
         return dict(zip(STATISTICS, (self.decisions, self.conflicts, learned,
-                                     theory.checks, theory.conflicts, theory.pivots)))
+                                     theory.checks, theory.conflicts, theory.pivots,
+                                     self.nvars, len(self.sk.clauses))))
 
     def _pick(self):
         """The most active unassigned variable, the smallest on ties, or

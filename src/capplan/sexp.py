@@ -15,17 +15,26 @@ from __future__ import annotations
 
 import re
 
-# One token per match, after any whitespace: a `;` comment (no group), a
-# parenthesis (group 1), an atom (group 2: a `|quoted symbol|`, a string
-# with `""` escapes, or a plain token), or an opening `|` or `"` whose
-# closing quote is not in the buffer yet (group 3).  A string must not be
-# followed by `"`, because `""` may continue it in the next piece.
+# One token per match, after any blanks and line-ended `;` comments: a
+# parenthesis, an atom (a plain token, a `|quoted symbol|`, or a string
+# with `""` escapes), a comment that no line break ends, or an opening `|`
+# or `"` whose closing quote is not in the text, taken together with all
+# the text after it.  A string must not be followed by `"`, because `""`
+# may continue it in the next piece.  Every character outside the skipped
+# blanks and comments belongs to a token, so in a text that does not end
+# in a blank, a comment or an unclosed quote can only be the last token.
 _TOKEN = re.compile(
-    r'[ \t\r\n]*(?:;[^\n]*'
-    r'|([()])'
-    r'|(\|[^|]*\||"[^"]*(?:""[^"]*)*"(?!")|[^ \t\r\n();|"]+)'
-    r'|([|"]))'
+    r'[ \t\r\n]*(?:;[^\n]*\n[ \t\r\n]*)*'
+    r'([()]|[^ \t\r\n();|"]+|\|[^|]*\||"[^"]*(?:""[^"]*)*"(?!")|;[^\n]*|[|"][\s\S]*)'
 )
+_BLANK = " \t\r\n"
+
+
+def _unclosed(token: str) -> bool:
+    """Whether the token is an opening quote and the text after it: a
+    quoted symbol or string that closes has an even number of quotes."""
+    return token[0] in '|"' and token.count(token[0]) % 2 == 1
+
 
 # The characters of an SMT-LIB simple symbol, which must not start with a
 # digit.
@@ -40,65 +49,86 @@ class SexpError(ValueError):
 
 class Reader:
     """Reads S-expressions from text fed in pieces of any size: whole
-    lines or arbitrary pipe chunks.  Iterating yields each top-level
-    expression as soon as it is complete and stops when more input is
-    needed.  A token that reaches the end of the text fed so far may go
-    on in the next piece, so it waits, until end() says none will come.
+    lines or arbitrary pipe chunks.  Iterating splits the text fed since
+    the last split into tokens by one regex pass, builds lists from them,
+    yields each top-level expression as soon as it is complete, and stops
+    when more input is needed.  A last token that reaches the end of the
+    text fed so far may go on in the next piece, so it waits, until end()
+    says none will come.
 
     A reading error consumes the offending input, so iterating again
     goes on after it."""
 
     def __init__(self):
-        self.buf = ""
-        self.pos = 0
+        self.text = ""  # text fed since the last split into tokens
+        self.tokens = iter(())  # parentheses and atoms still to read
+        self.rest = ""  # the text of a last token that may go on
         self.open: list = []  # the lists being read, outermost first
         self.ended = False
+        self.unclosed = ""  # the quote that the ended text is inside
 
     def feed(self, text: str) -> None:
-        self.buf = self.buf[self.pos :] + text
-        self.pos = 0
+        self.text += text
 
     def end(self) -> None:
         """No more text will come: what is left must be complete."""
+        if self.text:
+            self._split()
         self.ended = True
+        rest, self.rest = self.rest, ""
+        if rest and _unclosed(rest):
+            self.unclosed = rest[0]
+        elif rest and rest[0] != ";":
+            self.tokens = iter([*self.tokens, rest])
+
+    def _split(self) -> None:
+        """Split the text fed so far into tokens, keeping back a last one
+        that may go on."""
+        text = self.rest + self.text
+        self.text = self.rest = ""
+        # Without its trailing blanks: findall would rescan them from every
+        # position in turn.
+        body = text.rstrip(_BLANK)
+        tokens = _TOKEN.findall(body)
+        if tokens:
+            last = tokens[-1]
+            if last[0] == ";":
+                tokens.pop()
+                if "\n" not in text[len(body):]:  # the comment may go on
+                    self.rest = text[len(body) - len(last):]
+            elif _unclosed(last) or len(body) == len(text) and last not in ("(", ")"):
+                tokens.pop()  # an atom or a quote that may go on
+                self.rest = text[len(body) - len(last):]
+        self.tokens = iter([*self.tokens, *tokens])
 
     def __iter__(self):
         return self
 
     def __next__(self):
+        if self.text:
+            self._split()
         stack = self.open
-        while True:
-            match = _TOKEN.match(self.buf, self.pos)
-            if match is None:  # nothing but whitespace is left
-                if self.ended and stack:
-                    stack.clear()
-                    raise SexpError("unexpected end of input inside (")
-                raise StopIteration
-            paren, atom, opener = match.groups()
-            if opener is not None:
-                if not self.ended:
-                    raise StopIteration
-                self.pos = len(self.buf)
-                stack.clear()
-                raise SexpError(
-                    "unterminated quoted symbol" if opener == "|" else "unterminated string"
-                )
-            end = match.end()
-            if paren is None and end == len(self.buf) and not self.ended:
-                raise StopIteration  # an atom or comment the next piece may go on
-            self.pos = end
-            if paren == "(":
+        for token in self.tokens:
+            if token == "(":
                 stack.append([])
                 continue
-            if paren == ")":
+            if token == ")":
                 if not stack:
                     raise SexpError("unbalanced )")
-                atom = stack.pop()
-            elif atom is None:
-                continue
+                token = stack.pop()
             if not stack:
-                return atom
-            stack[-1].append(atom)
+                return token
+            stack[-1].append(token)
+        if self.unclosed:
+            quote, self.unclosed = self.unclosed, ""
+            stack.clear()
+            raise SexpError(
+                "unterminated quoted symbol" if quote == "|" else "unterminated string"
+            )
+        if self.ended and stack:
+            stack.clear()
+            raise SexpError("unexpected end of input inside (")
+        raise StopIteration
 
 
 def parse_sexprs(text: str) -> list:

@@ -296,7 +296,8 @@ def minimize_core(encoding: Encoding, core: list, config: SolverConfig) -> list:
     checks.  The process is sent the script header and every declaration
     once; each trial asserts its members under (push 1), in encoding
     order, and is popped before the next, so the solver checks the
-    assertions of a one-shot script of encoding.restricted(trial).  A trial
+    assertions of a one-shot script of encoding.restricted(trial).  Only
+    an unsat trial's answer is read, so no model is fetched.  A trial
     that times out counts as not unsat, and the next trial starts a fresh
     process.  The result is a minimal unsatisfiable subset: dropping any
     single member makes the remainder satisfiable.
@@ -319,7 +320,7 @@ def minimize_core(encoding: Encoding, core: list, config: SolverConfig) -> list:
                 text = ["(pop 1)"]
             text.append("(push 1)")
             text += [lines[n] for n in sorted(set(trial), key=order.__getitem__)]
-            outcome = process.exchange("\n".join(text) + "\n")
+            outcome = process.exchange("\n".join(text) + "\n", model=False)
             if outcome.is_unsat:
                 kept = [n for n in trial if outcome.core is None or n in outcome.core]
     finally:
@@ -407,9 +408,10 @@ class SmtProcess:
         self.send("(get-unsat-core)\n")
         return _core([self._read_until()])
 
-    def exchange(self, text: str) -> SolveOutcome:
+    def exchange(self, text: str, model: bool = True) -> SolveOutcome:
         """One bound's round trip: send `text`, check-sat, then fetch the
-        model or the core.  As in one-shot solving, the timeout covers the
+        core, or the model unless `model` is false (a sat outcome then has
+        no valuation).  As in one-shot solving, the timeout covers the
         whole round trip; when it passes, the outcome is unknown and the
         wedged process is killed (`closed` turns true)."""
         self._deadline = time.monotonic() + self.config.timeout_seconds
@@ -417,7 +419,8 @@ class SmtProcess:
             self.send(text)
             status = self.check_sat()
             if status == "sat":
-                return SolveOutcome(status="sat", valuation=self.get_model())
+                return SolveOutcome(status="sat",
+                                    valuation=self.get_model() if model else None)
             if status == "unsat":
                 return SolveOutcome(status="unsat", core=self.get_unsat_core())
             return SolveOutcome(status="unknown", reason=SOLVER_UNKNOWN)

@@ -325,12 +325,97 @@ def test_all_statistics_describe_the_last_check_sat():
     status, stats, version = parse_sexprs(out)
     assert status == "unsat"
     assert stats[0::2] == [":decisions", ":conflicts", ":learned-clauses",
-                           ":theory-checks", ":theory-conflicts", ":pivots"]
+                           ":theory-checks", ":theory-conflicts", ":pivots",
+                           ":variables", ":clauses"]
     assert all(int(count) > 0 for count in stats[1::2]), stats
     assert version == "unsupported"
     # A check-sat decided while translating reports zero counts.
     out = run_inprocess("(assert false)(check-sat)(get-info :all-statistics)")
-    assert parse_sexprs(out)[1][1::2] == ["0"] * 6
+    assert parse_sexprs(out)[1][1::2] == ["0"] * 8
+
+
+# -- root clauses ---------------------------------------------------------------
+
+
+def _skeletons(monkeypatch):
+    """The skeleton of every search started from now on."""
+    from capplan import refsolver
+
+    skeletons = []
+
+    class Recording(refsolver.Dpll):
+        def __init__(self, skeleton):
+            skeletons.append(skeleton)
+            super().__init__(skeleton)
+
+    monkeypatch.setattr(refsolver, "Dpll", Recording)
+    return skeletons
+
+
+def test_a_root_disjunction_is_one_clause_without_a_gate(monkeypatch):
+    from capplan.smtlib import parse_sexprs
+
+    skeletons = _skeletons(monkeypatch)
+    k = 7
+    declarations = "".join(f"(declare-const p{i} Bool)" for i in range(k))
+    mutexes = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    asserts = "".join(f"(assert (! (or (not p{i}) (not p{j})) :named m{i}.{j}))"
+                      for i, j in mutexes)
+    out = run_inprocess(declarations + asserts + "(check-sat)(get-info :all-statistics)")
+    status, stats = parse_sexprs(out)
+    assert status == "sat"
+    (skeleton,) = skeletons
+    assert skeleton.var_count == k
+    assert len(skeleton.clauses) == len(mutexes) == 21
+    # p<i> is variable i + 1, and each mutex is its own clause.
+    assert skeleton.clauses == [[-(i + 1), -(j + 1)] for i, j in mutexes]
+    assert skeleton.masks == [1 << n for n in range(len(mutexes))]
+    assert dict(zip(stats[0::2], stats[1::2]))[":variables"] == str(k)
+    assert dict(zip(stats[0::2], stats[1::2]))[":clauses"] == "21"
+
+
+def test_a_root_conjunction_is_asserted_conjunct_by_conjunct(monkeypatch):
+    skeletons = _skeletons(monkeypatch)
+    out = run_inprocess(
+        "(declare-const p Bool)(declare-const q Bool)(declare-const r Bool)"
+        "(assert (! r :named free))(assert (! (and p (and q (or p r))) :named both))"
+        "(assert (! (not p) :named notp))(check-sat)(get-unsat-core)"
+    )
+    assert _core(out) == ["both", "notp"]
+    (skeleton,) = skeletons
+    # Five root clauses over r, p and q, numbered in order of first use:
+    # no gate.
+    assert skeleton.var_count == 3
+    assert skeleton.clauses == [[1], [2], [3], [2, 1], [-2]]
+    assert skeleton.masks == [0b1, 0b10, 0b10, 0b10, 0b100]
+
+
+def test_a_root_tautology_adds_no_clause_and_is_in_no_core(monkeypatch):
+    skeletons = _skeletons(monkeypatch)
+    out = run_inprocess(
+        "(declare-const p Bool)(declare-const q Bool)"
+        "(assert (! (or p (not p)) :named taut))(assert (! (or q p q (not q)) :named taut2))"
+        "(assert (! p :named a))(assert (! (=> p q) :named b))(assert (! (not q) :named c))"
+        "(check-sat)(get-unsat-core)"
+    )
+    assert _core(out) == ["a", "b", "c"]
+    (skeleton,) = skeletons
+    assert skeleton.clauses == [[1], [-1, 2], [-2]]
+
+
+def test_only_children_that_are_not_literals_get_gates(monkeypatch):
+    skeletons = _skeletons(monkeypatch)
+    out = run_inprocess(
+        "(declare-const p Bool)(declare-const q Bool)(declare-const r Bool)"
+        "(assert (! (or p (and q r)) :named g))(assert (! (not p) :named n))"
+        "(assert (! (or (not q) (not r)) :named m))(check-sat)(get-unsat-core)"
+    )
+    assert _core(out) == ["g", "n", "m"]
+    (skeleton,) = skeletons
+    # One gate for (and q r); its definition clauses carry mask 0.
+    assert skeleton.var_count == 4
+    assert [mask for clause, mask in zip(skeleton.clauses, skeleton.masks)
+            if 4 in map(abs, clause)] == [0, 0, 0, 1]
 
 
 # -- unsat cores ----------------------------------------------------------------

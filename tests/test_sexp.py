@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -160,3 +161,118 @@ def _quote_by_characters(name):
 @given(st.text() | st.text(alphabet=sorted(SIMPLE_SYMBOL_CHARS) + ["#", "\n", "\u0663"]))
 def test_quote_agrees_with_a_character_by_character_test(name):
     assert quote(name) == _quote_by_characters(name)
+
+
+# -- the one-pass tokenizer against the per-token reader it replaced ----------
+
+# The reader that matched one token per regex call, kept as the reference
+# for the streaming rules of the one-pass Reader.
+_ONE_TOKEN = re.compile(
+    r'[ \t\r\n]*(?:;[^\n]*'
+    r'|([()])'
+    r'|(\|[^|]*\||"[^"]*(?:""[^"]*)*"(?!")|[^ \t\r\n();|"]+)'
+    r'|([|"]))'
+)
+
+
+class _TokenByTokenReader:
+    def __init__(self):
+        self.buf = ""
+        self.pos = 0
+        self.open = []
+        self.ended = False
+
+    def feed(self, text):
+        self.buf = self.buf[self.pos:] + text
+        self.pos = 0
+
+    def end(self):
+        self.ended = True
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        stack = self.open
+        while True:
+            match = _ONE_TOKEN.match(self.buf, self.pos)
+            if match is None:
+                if self.ended and stack:
+                    stack.clear()
+                    raise SexpError("unexpected end of input inside (")
+                raise StopIteration
+            paren, atom, opener = match.groups()
+            if opener is not None:
+                if not self.ended:
+                    raise StopIteration
+                self.pos = len(self.buf)
+                stack.clear()
+                raise SexpError(
+                    "unterminated quoted symbol" if opener == "|" else "unterminated string"
+                )
+            end = match.end()
+            if paren is None and end == len(self.buf) and not self.ended:
+                raise StopIteration
+            self.pos = end
+            if paren == "(":
+                stack.append([])
+                continue
+            if paren == ")":
+                if not stack:
+                    raise SexpError("unbalanced )")
+                atom = stack.pop()
+            elif atom is None:
+                continue
+            if not stack:
+                return atom
+            stack[-1].append(atom)
+
+
+def _events(reader, pieces):
+    """What reading the pieces in turn gives: after each piece, and after
+    end(), the nodes and error messages in order."""
+    events = []
+    for step, piece in enumerate(pieces + [None]):
+        if piece is None:
+            reader.end()
+        else:
+            reader.feed(piece)
+        while True:
+            try:
+                events.append((step, next(reader)))
+            except StopIteration:
+                break
+            except SexpError as exc:
+                events.append((step, "error", str(exc)))
+    return events
+
+
+_ATOMS = (
+    st.sampled_from(["sat", "x", "define-fun", ":named", "1.5", "-", "a.b", "<=", "n#t0"])
+    | st.text(alphabet="ab" + AWKWARD + '"', max_size=6).map(lambda body: f"|{body}|")
+    | st.lists(st.text(alphabet="xy" + AWKWARD + "|", max_size=4), min_size=1, max_size=3)
+    .map(lambda parts: '"' + '""'.join(parts) + '"')
+)
+_NODES = st.recursive(_ATOMS, lambda children: st.lists(children, max_size=4), max_leaves=12)
+# What may end a document: nothing, a stray `)`, quotes that never close,
+# or lists left open.
+_ENDINGS = st.sampled_from(
+    ["", "\n", ")", " )\n", "|a (b;", ' "x""y )', ' "', "(", "(a (b c)", "(a ;c"])
+
+
+@given(st.lists(_NODES | st.just(")"), min_size=1, max_size=4), _ENDINGS, st.randoms(),
+       st.data())
+def test_one_pass_reader_agrees_with_the_token_by_token_reader(nodes, ending, rng, data):
+    text = _gap(rng).join(_render(node, rng) for node in nodes) + ending
+    # Cuts fall anywhere: inside comments, quotes and atoms, right after a
+    # `(`, and between a `"` and the `"` that follows it.
+    awkward = [i for i in range(1, len(text))
+               if text[i - 1] == "(" or text[i - 1:i + 1] in ('""', "; ", "| ")]
+    cuts = data.draw(st.sets(st.integers(1, max(1, len(text) - 1)), max_size=10))
+    if awkward:
+        cuts |= data.draw(st.sets(st.sampled_from(awkward), max_size=6))
+    cuts = sorted(cut for cut in cuts if 0 < cut < len(text))
+    pieces = [text[start:stop] for start, stop in zip([0] + cuts, cuts + [len(text)])]
+    expected = _events(_TokenByTokenReader(), pieces)
+    assert _events(Reader(), pieces) == expected
+    assert _events(Reader(), [text]) == _events(_TokenByTokenReader(), [text])

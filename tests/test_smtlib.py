@@ -422,6 +422,8 @@ def test_minimization_transcript_is_one_session_that_replays(tmp_path, capsys):
     assert session.count("(push 1)") == trials
     assert session.count("(pop 1)") == trials - 1
     assert session.count("(set-logic ") == 1
+    # A trial's model is never read, so it is never asked for.
+    assert "(get-model)" not in session
     replayed = subprocess.run(fixtures.REFSOLVER_CMD, input=session,
                               capture_output=True, text=True, check=True)
     assert replayed.stdout == _recorded(session)
