@@ -12,7 +12,9 @@ Only where a bound's outcome comes from depends on the mode.  One-shot
 mode runs a fresh solver process over the emitted script.  Incremental
 mode keeps one process across bounds: it sends each declaration and
 stable assertion once, and asserts the encoding's retractable (goal-side)
-assertions under push/pop.
+assertions under push/pop.  A one-shot run that minimizes its core sends
+the last bound's assertions under (push 1) instead, so that when that
+bound is unsat, minimization goes on in the process that proved it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .smtlib import (
     declaration,
     emit,
     minimize_core,
+    preamble,
     script_header,
     solve,
 )
@@ -110,6 +113,8 @@ def plan(model: CapabilityModel, max_happenings: int,
     index = build_index(model)
     solver = config.solver
     session = _Incremental(solver) if config.incremental else None
+    # The last bound's process while it may go on to minimize its core.
+    handoff: Optional[SmtProcess] = None
     outcomes = []
     last_core = None
     last_encoding = None
@@ -119,10 +124,16 @@ def plan(model: CapabilityModel, max_happenings: int,
             # Each bound reuses the happening blocks of the one before.
             encoding = build(model, index, bound, expanded=config.expanded,
                              previous=encoding)
-            if session is None:
-                result = solve(emit(encoding, random_seed=solver.random_seed), solver)
-            else:
+            if session is not None:
                 result = session.solve(encoding)
+            elif config.minimize and bound == max_happenings:
+                handoff = SmtProcess(solver)
+                result = handoff.exchange(_pushed_script(encoding, solver))
+                if not result.is_unsat:
+                    handoff.close()
+                    handoff = None
+            else:
+                result = solve(emit(encoding, random_seed=solver.random_seed), solver)
             if result.is_sat:
                 return extract_plan(encoding, result.valuation)
             core = list(result.core) if result.core else None
@@ -131,11 +142,15 @@ def plan(model: CapabilityModel, max_happenings: int,
             if result.is_unsat:
                 last_core = core
                 last_encoding = encoding
+        if session is not None:
+            session.close()  # before minimization starts its own process
+        if config.minimize and last_core:
+            last_core = minimize_core(last_encoding, last_core, solver, handoff)
     finally:
         if session is not None:
             session.close()
-    if config.minimize and last_core:
-        last_core = minimize_core(last_encoding, last_core, solver)
+        if handoff is not None:
+            handoff.close()
     if last_encoding is not None:
         last_encoding = last_encoding.restricted(last_core or ())
     return NoPlanFound(
@@ -190,6 +205,15 @@ class _Incremental:
 
 def _line(assertion) -> str:
     return assertion_line(assertion.name, _render_term(assertion.term))
+
+
+def _pushed_script(encoding: Encoding, solver: SolverConfig) -> str:
+    """The one-shot script's declarations and assertions, with (push 1)
+    before the assertions: minimize_core's trials pop them."""
+    lines = preamble(encoding, solver.random_seed)
+    lines.append("(push 1)")
+    lines += [_line(assertion) for assertion in encoding.assertions]
+    return "\n".join(lines) + "\n"
 
 
 def extract_plan(encoding: Encoding, valuation: dict) -> Plan:

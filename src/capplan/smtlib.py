@@ -4,11 +4,12 @@ The encoding is rendered to plain SMT-LIB2 text, piped to any solver
 executable on its standard input, and the answer (sat + model, unsat +
 core, unknown) is parsed back: by solve(), one process per script, or
 by SmtProcess, one process for push/pop solving (incremental planning
-and core minimization).  Every script has one shape, set by
-script_header() and assertion_line(): it asks for models and unsat
-cores and names every assertion.  Values are kept as exact rationals
-throughout, so a model can be rechecked against the oracle without
-float drift.
+and core minimization).  minimize_core() can go on in the process that
+proved the core, when that process was sent the bound's assertions
+under (push 1).  Every script has one shape, set by script_header() and
+assertion_line(): it asks for models and unsat cores and names every
+assertion.  Values are kept as exact rationals throughout, so a model
+can be rechecked against the oracle without float drift.
 
 Answers are read with `capplan.sexp`, the one S-expression reader the
 reference solver also reads scripts with, and both paths interpret its
@@ -152,14 +153,20 @@ def assertion_line(name: str, body: str) -> str:
     return f"(assert (! {body} :named {format_symbol(name)}))"
 
 
+def preamble(encoding: Encoding, random_seed: Optional[int]) -> list:
+    """The header and every declaration of the encoding: the lines that
+    open its one-shot script and a solver session over its assertions."""
+    return script_header(encoding.logic, random_seed) + [
+        declaration(symbol, key) for symbol, key in encoding.variables.items()]
+
+
 def emit(encoding: Encoding, random_seed: Optional[int] = None) -> str:
     """Render the encoding as a self-contained SMT-LIB2 script that asks
     for the model on sat and the core on unsat.
 
     Byte-deterministic: the same encoding always yields the same text.
     """
-    lines = script_header(encoding.logic, random_seed)
-    lines += [declaration(symbol, key) for symbol, key in encoding.variables.items()]
+    lines = preamble(encoding, random_seed)
     lines += [assertion_line(a.name, _render_term(a.term)) for a in encoding.assertions]
     lines += ["(check-sat)", "(get-model)", "(get-unsat-core)"]
     return "\n".join(lines) + "\n"
@@ -287,7 +294,8 @@ def solve(text: str, config: SolverConfig) -> SolveOutcome:
     return parse_answer(stdout)
 
 
-def minimize_core(encoding: Encoding, core: list, config: SolverConfig) -> list:
+def minimize_core(encoding: Encoding, core: list, config: SolverConfig,
+                  session: Optional[SmtProcess] = None) -> list:
     """Deletion-based core minimization in one solver session.
 
     Starting from the solver's core, each member in turn is dropped and
@@ -301,12 +309,16 @@ def minimize_core(encoding: Encoding, core: list, config: SolverConfig) -> list:
     that times out counts as not unsat, and the next trial starts a fresh
     process.  The result is a minimal unsatisfiable subset: dropping any
     single member makes the remainder satisfiable.
+
+    `session`, if given, is the process that found `core`: it was sent
+    preamble(encoding), (push 1) and every assertion, and answered unsat.
+    The trials go on in it, and it is closed at the end like any other.
     """
     order = {a.name: i for i, a in enumerate(encoding.assertions)}
     kept = [name for name in core if name in order]
     lines = {name: assertion_line(name, _render_term(encoding.by_name[name].term))
              for name in kept}
-    process = None
+    process = session
     try:
         for name in list(kept):
             if name not in kept:
@@ -314,8 +326,7 @@ def minimize_core(encoding: Encoding, core: list, config: SolverConfig) -> list:
             trial = [n for n in kept if n != name]
             if process is None or process.closed:
                 process = SmtProcess(config)
-                text = script_header(encoding.logic, config.random_seed)
-                text += [declaration(s, k) for s, k in encoding.variables.items()]
+                text = preamble(encoding, config.random_seed)
             else:
                 text = ["(pop 1)"]
             text.append("(push 1)")

@@ -32,6 +32,35 @@ def run_inprocess(text: str) -> str:
     return out.getvalue()
 
 
+# The reference solver, except that the check-sat numbered `at`, counted
+# over every process in the counter file, hangs or exits unanswered.
+FAULTY_REFSOLVER = """
+import sys, time
+from pathlib import Path
+from capplan.refsolver import RefSolver
+from capplan.sexp import SexpReader
+counter, fault, at = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+reader, solver = SexpReader(sys.stdin), RefSolver(sys.stdout)
+while True:
+    sexp = reader.read()
+    if sexp is None:
+        break
+    if sexp == ["check-sat"]:
+        calls = int(counter.read_text()) + 1 if counter.exists() else 1
+        counter.write_text(str(calls))
+        if calls == at and fault == "hang":
+            time.sleep(60)
+        if calls == at and fault == "exit":
+            sys.exit(0)
+    solver.execute(sexp)
+"""
+
+
+def faulty_refsolver(counter, fault: str, at: int) -> list:
+    """The command of FAULTY_REFSOLVER, counting check-sats in `counter`."""
+    return [sys.executable, "-c", FAULTY_REFSOLVER, str(counter), fault, str(at)]
+
+
 def _actual(value):
     return {"expressionGoal": "actualValue", "relation": "eq", "value": str(value)}
 

@@ -24,7 +24,7 @@ from capplan.planner import (
     extract_plan,
     plan,
 )
-from capplan.smtlib import SolverConfig, emit, solve
+from capplan.smtlib import SolverConfig, emit, minimize_core, solve
 from capplan.synonymy import build_index
 
 F = Fraction
@@ -464,3 +464,74 @@ def test_minimality_matches_oracle_on_fixtures():
         assert isinstance(result, Plan)
         assert oracle_result is not None
         assert result.bound_happenings == oracle_result.bound_happenings
+
+
+# -- core minimization in the last bound's process ------------------------------
+
+
+def _counted(counter, command) -> list:
+    """`command`, started through a shell that first appends a line to
+    the file `counter`."""
+    return ["sh", "-c", 'echo started >> "$0"; exec "$@"', str(counter), *command]
+
+
+def test_a_minimizing_plan_starts_one_solver_process_per_bound(tmp_path):
+    counter = tmp_path / "starts"
+    solver = SolverConfig(command=_counted(counter, fixtures.REFSOLVER_CMD),
+                          timeout_seconds=60.0)
+    model = fixtures.inert_goal_model()
+    result = plan(model, 2, _config(solver=solver, minimize=True))
+    assert isinstance(result, NoPlanFound) and result.all_unsat
+    # Bounds 0 and 1 spawn one process each; the last bound's process goes
+    # on to minimize its core, which takes more than one trial.
+    assert counter.read_text().count("started\n") == 3
+    encoding = build(model, build_index(model), 2)
+    raw = solve(emit(encoding), SolverConfig(command=fixtures.REFSOLVER_CMD)).core
+    assert len(raw) > 1 and result.last_core == minimize_core(
+        encoding, raw, SolverConfig(command=fixtures.REFSOLVER_CMD))
+    # A plan found at the last bound comes from that one process too.
+    counter.unlink()
+    result = plan(fixtures.transport_model(), 0, _config(solver=solver, minimize=True))
+    assert isinstance(result, Plan)
+    assert counter.read_text().count("started\n") == 1
+
+
+# Each case: the solver command, given a scratch directory; the maximum
+# bound; and what plan() returns or raises.
+ORPHAN_CASES = {
+    "sat": (lambda tmp: fixtures.REFSOLVER_CMD, 0, Plan),
+    "unsat": (lambda tmp: fixtures.REFSOLVER_CMD, 2, NoPlanFound),
+    "unknown": (lambda tmp: [sys.executable, "-c", FAKE_SOLVER.format(
+        answers={"(check-sat)": "unknown"}, delay=0)], 2, NoPlanFound),
+    "timeout": (lambda tmp: [sys.executable, "-c", FAKE_SOLVER.format(
+        answers={"(check-sat)": None}, delay=0)], 1, NoPlanFound),
+    "garbage-status": (lambda tmp: [sys.executable, "-c", EXITING_SOLVER.format(
+        answers={"(check-sat)": "flubber\n"})], 0, SolverProtocolError),
+    "exit-mid-minimization": (lambda tmp: fixtures.faulty_refsolver(
+        tmp / "check_sats", "exit", 2), 0, SolverProtocolError),
+}
+
+
+@pytest.mark.parametrize("case", ORPHAN_CASES)
+def test_no_solver_process_outlives_a_minimizing_plan(case, monkeypatch, tmp_path):
+    command, max_happenings, expected = ORPHAN_CASES[case]
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    timeout = 0.5 if case == "timeout" else 60.0
+    config = _config(minimize=True, solver=SolverConfig(command=command(tmp_path),
+                                                        timeout_seconds=timeout))
+    model = (fixtures.transport_model() if case == "sat"
+             else fixtures.inert_goal_model())
+    if issubclass(expected, Exception):
+        with pytest.raises(expected):
+            plan(model, max_happenings, config)
+    else:
+        assert isinstance(plan(model, max_happenings, config), expected)
+    assert len(started) >= max_happenings + 1
+    assert all(process.poll() is not None for process in started)

@@ -1,6 +1,9 @@
 import io
+import re
 import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -418,6 +421,27 @@ def test_only_children_that_are_not_literals_get_gates(monkeypatch):
             if 4 in map(abs, clause)] == [0, 0, 0, 1]
 
 
+def test_an_implication_of_a_disjunction_is_one_clause():
+    # A Boolean frame axiom's shape: the consequent's disjuncts join the
+    # implication's clause, with no gate.
+    from capplan.smtlib import parse_sexprs
+
+    def statistics(script):
+        status, stats = parse_sexprs(run_inprocess(
+            "(declare-const p Bool)(declare-const q Bool)(declare-const r Bool)"
+            f"{script}(check-sat)(get-info :all-statistics)"))
+        assert status == "sat"
+        stats = dict(zip(stats[0::2], stats[1::2]))
+        return stats[":variables"], stats[":clauses"]
+
+    assert statistics("(assert (! (=> p (or q r)) :named frame))") == ("3", "1")
+    assert statistics("(assert (=> p (=> q r)))") == ("3", "1")
+    # A Real frame axiom's shape: the negated conjunction of its
+    # antecedent keeps its gate (one root clause, three definition
+    # clauses).
+    assert statistics("(assert (=> (and (not p) (not q)) r))") == ("4", "4")
+
+
 # -- unsat cores ----------------------------------------------------------------
 
 
@@ -737,3 +761,55 @@ def test_malformed_commands_answer_errors_and_reading_goes_on():
     lines = completed.stdout.decode().splitlines()
     assert [line.split()[0] for line in lines[:7]] == ["(error"] * 7
     assert lines[7] == "sat"
+
+
+# -- the command-line entry point -------------------------------------------------
+
+
+def _console_script_command() -> list:
+    """What the installed `capplan-refsolver` script runs: the entry
+    point pyproject.toml names, called as setuptools' wrapper calls it."""
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    module, function = re.search(
+        r'^capplan-refsolver = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    return [sys.executable, "-c",
+            f"import sys; from {module} import {function}; sys.exit({function}())"]
+
+
+def test_an_answer_larger_than_a_pipe_buffer_arrives_whole_before_the_exit():
+    from capplan.smtlib import parse_answer
+
+    names = [f"x{i:05d}_{'w' * 24}" for i in range(3000)]
+    script = "".join(f"(declare-const {name} Real)\n" for name in names)
+    script += f"(assert (= {names[-1]} 7.0))\n(check-sat)\n(get-model)\n(get-unsat-core)\n"
+    outputs = []
+    for command in (fixtures.REFSOLVER_CMD, _console_script_command()):
+        completed = subprocess.run(command, input=script.encode(),
+                                   capture_output=True, timeout=60)
+        assert completed.returncode == 0
+        assert completed.stderr == b""
+        outputs.append(completed.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) > 65536
+    valuation = parse_answer(outputs[0].decode()).valuation
+    assert list(valuation) == names
+    assert valuation[names[-1]] == 7
+    assert outputs[0].endswith(b')\n(error "unsat core is not available")\n')
+
+
+def test_exit_in_mid_script_ends_the_process():
+    script = "(check-sat)\n(exit)\n(check-sat)\n"
+    for command in (fixtures.REFSOLVER_CMD, _console_script_command()):
+        completed = subprocess.run(command, input=script.encode(),
+                                   capture_output=True, timeout=60)
+        assert (completed.returncode, completed.stdout, completed.stderr) == (
+            0, b"sat\n", b"")
+
+
+def test_an_uncaught_exception_exits_1_with_its_traceback():
+    command = [sys.executable, "-c", "import capplan.refsolver as solver\n"
+               "solver.main = lambda: 1 / 0\nsolver.run()"]
+    completed = subprocess.run(command, capture_output=True, timeout=60)
+    assert completed.returncode == 1
+    assert completed.stderr.decode().startswith("Traceback")
+    assert "ZeroDivisionError" in completed.stderr.decode()

@@ -13,12 +13,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fixtures
+import capplan.planner as planner
 import capplan.smtlib as smtlib
 from capplan.cli import main as cli_main
 from capplan.encoder import build
 from capplan.errors import SolverLaunchError, SolverProtocolError
 from capplan.model import load_model, merge_documents, parse_model
 from capplan.oracle import brute_force_plan
+from capplan.planner import PlannerConfig, plan
 from capplan.smtlib import (
     SmtProcess,
     SolverConfig,
@@ -327,18 +329,23 @@ def _reference_minimize(encoding, core):
 
 
 @pytest.fixture(scope="module")
-def no_plan_cores():
-    """(label, encoding, raw core, minimize_core's result) at the last
-    unsat bound of every no-plan model: the random fixtures without a plan
-    of at most three happenings (bound 2), the contradictory model and the
-    inert-goal model."""
+def no_plan_models():
+    """(label, model, last bound) of every no-plan model: the random
+    fixtures without a plan of at most three happenings (bound 2), the
+    contradictory model and the inert-goal model."""
     models = [(f"random {seed}", fixtures.random_model(seed), 2) for seed in range(110)]
     models = [(label, model, bound) for label, model, bound in models
               if brute_force_plan(model, build_index(model), bound + 1) is None]
-    models += [("contradictory", fixtures.contradictory_model(), 1),
-               ("inert goal", fixtures.inert_goal_model(), 2)]
+    return models + [("contradictory", fixtures.contradictory_model(), 1),
+                     ("inert goal", fixtures.inert_goal_model(), 2)]
+
+
+@pytest.fixture(scope="module")
+def no_plan_cores(no_plan_models):
+    """(label, encoding, raw core, minimize_core's result in a fresh
+    session) at the last unsat bound of every no-plan model."""
     cases = []
-    for label, model, bound in models:
+    for label, model, bound in no_plan_models:
         encoding = build(model, build_index(model), bound)
         outcome = parse_answer(fixtures.run_inprocess(emit(encoding)))
         assert outcome.is_unsat and outcome.core, label
@@ -361,6 +368,21 @@ def test_minimized_cores_are_minimal(no_plan_cores):
             rest = [n for n in minimal if n != name]
             text = emit(encoding.restricted(rest))
             assert parse_answer(fixtures.run_inprocess(text)).is_sat, (label, name)
+
+
+def test_plan_minimizes_in_the_last_bounds_process_to_the_same_cores(
+        no_plan_models, no_plan_cores, monkeypatch):
+    # The bounds before the last are answered in this process, as
+    # _reference_minimize answers its trials, without a spawn each; the
+    # last bound and the minimization that goes on in its process run
+    # through the pipe.
+    monkeypatch.setattr(planner, "solve",
+                        lambda text, config: parse_answer(fixtures.run_inprocess(text)))
+    config = PlannerConfig(solver=_config(), minimize=True)
+    assert sum(label.startswith("random") for label, *_ in no_plan_models) == 71
+    for (label, model, bound), (_, _, _, minimal) in zip(no_plan_models, no_plan_cores):
+        result = plan(model, bound, config)
+        assert result.last_core == minimal, label
 
 
 def test_minimize_core_starts_one_solver_process(monkeypatch):
@@ -412,15 +434,26 @@ def test_minimization_transcript_is_one_session_that_replays(tmp_path, capsys):
                      "--transcript", str(transcript)])
     core = json.loads(capsys.readouterr().out)["explanation"]["core"]
     assert code == 2
-    # One one-shot script per bound, then the minimization session: one
-    # push/pop check-sat per trial, and no header or declaration again.
+    # One one-shot script per bound before the last; the last bound opens
+    # the minimization session, which then makes one push/pop check-sat
+    # per trial, and sends no header or declaration again.
     *bounds, session = _sessions(transcript.read_text())
-    assert len(bounds) == 3
+    assert len(bounds) == 2
     assert all(text.count("(check-sat)") == 1 for text in bounds)
-    trials = session.count("(check-sat)")
-    assert trials >= len(core) > 1
-    assert session.count("(push 1)") == trials
-    assert session.count("(pop 1)") == trials - 1
+    # The session's first check-sat is the last bound's: its one-shot
+    # script, line for line, with (push 1) before the assertions, answered
+    # unsat with a core.
+    model = fixtures.random_model(0)
+    script = emit(build(model, build_index(model), 2)).splitlines()
+    assertions = next(i for i, line in enumerate(script) if line.startswith("(assert "))
+    opening = script[:assertions] + ["(push 1)"] + script[assertions:-2]
+    assert session.startswith("; --- request ---\n" + "\n".join(opening) + "\n"
+                              "; --- response ---\n; unsat\n"
+                              "; --- request ---\n(get-unsat-core)\n")
+    checks = session.count("(check-sat)")
+    assert checks - 1 >= len(core) > 1
+    assert session.count("(push 1)") == checks
+    assert session.count("(pop 1)") == checks - 1
     assert session.count("(set-logic ") == 1
     # A trial's model is never read, so it is never asked for.
     assert "(get-model)" not in session
@@ -429,40 +462,12 @@ def test_minimization_transcript_is_one_session_that_replays(tmp_path, capsys):
     assert replayed.stdout == _recorded(session)
 
 
-# The reference solver, except that the check-sat numbered `at`, counted
-# over every process in the counter file, hangs or exits unanswered.
-FAULTY_REFSOLVER = """
-import sys, time
-from pathlib import Path
-from capplan.refsolver import RefSolver
-from capplan.sexp import SexpReader
-counter, fault, at = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
-reader, solver = SexpReader(sys.stdin), RefSolver(sys.stdout)
-while True:
-    sexp = reader.read()
-    if sexp is None:
-        break
-    if sexp == ["check-sat"]:
-        calls = int(counter.read_text()) + 1 if counter.exists() else 1
-        counter.write_text(str(calls))
-        if calls == at and fault == "hang":
-            time.sleep(60)
-        if calls == at and fault == "exit":
-            sys.exit(0)
-    solver.execute(sexp)
-"""
-
-
-def _faulty_solver(counter, fault, at):
-    return [sys.executable, "-c", FAULTY_REFSOLVER, str(counter), fault, str(at)]
-
-
 def test_minimize_core_goes_on_after_a_hung_trial(tmp_path, monkeypatch):
     model = fixtures.inert_goal_model()
     encoding = build(model, build_index(model), 2)
     core = solve(emit(encoding), _config()).core
     counter = tmp_path / "check_sats"
-    command = _faulty_solver(counter, "hang", 2)
+    command = fixtures.faulty_refsolver(counter, "hang", 2)
     processes = []
     original = SmtProcess.__init__
 
@@ -482,19 +487,47 @@ def test_minimize_core_goes_on_after_a_hung_trial(tmp_path, monkeypatch):
     assert solve(emit(encoding.restricted(minimal)), _config()).is_unsat
 
 
+def test_a_hung_last_bound_leaves_minimization_to_a_fresh_process(tmp_path, monkeypatch):
+    # Bounds 0 and 1 are unsat; the last bound's check-sat, the third,
+    # hangs, so bound 1's core is minimized in a fresh session, to the
+    # core the fresh session gives it directly.
+    model = fixtures.inert_goal_model()
+    encoding = build(model, build_index(model), 1)
+    core = solve(emit(encoding), _config()).core
+    expected = minimize_core(encoding, core, _config())
+    processes = []
+    original = SmtProcess.__init__
+
+    def recorded(self, config):
+        processes.append(self)
+        original(self, config)
+
+    monkeypatch.setattr(SmtProcess, "__init__", recorded)
+    command = fixtures.faulty_refsolver(tmp_path / "check_sats", "hang", 3)
+    config = PlannerConfig(solver=_config(command=command, timeout_seconds=2.0),
+                           minimize=True)
+    result = plan(model, 2, config)
+    assert [(o.status, o.reason) for o in result.outcomes] == [
+        ("unsat", None), ("unsat", None), ("unknown", "timeout")]
+    assert result.last_core == expected and len(expected) > 1
+    assert len(processes) == 2
+    assert processes[0].proc.returncode == -signal.SIGKILL
+    assert processes[1].proc.returncode == 0
+
+
 def test_solver_exiting_mid_session_is_a_protocol_error(tmp_path, capsys):
     model = fixtures.random_model(0)
     encoding = build(model, build_index(model), 0)
     core = solve(emit(encoding), _config()).core
     assert len(core) > 2
-    command = _faulty_solver(tmp_path / "check_sats", "exit", 2)
+    command = fixtures.faulty_refsolver(tmp_path / "check_sats", "exit", 2)
     with pytest.raises(SolverProtocolError):
         minimize_core(encoding, core, _config(command=command))
     # Through the CLI: bound 0 is check-sat 1, the session's trials come
     # after it, and the solver exits at the second.
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(fixtures.random_model_doc(0)))
-    command = _faulty_solver(tmp_path / "cli_check_sats", "exit", 3)
+    command = fixtures.faulty_refsolver(tmp_path / "cli_check_sats", "exit", 3)
     code = cli_main(["plan", "--model", str(model_path), "--max-happenings", "0",
                      "--solver-cmd", " ".join(shlex.quote(part) for part in command),
                      "--minimize-core"])
