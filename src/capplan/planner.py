@@ -9,12 +9,19 @@ loop goes on.  When every bound fails, the last unsat core is kept so the
 failure can be mapped back to model elements.
 
 Only where a bound's outcome comes from depends on the mode.  One-shot
-mode runs a fresh solver process over the emitted script.  Incremental
-mode keeps one process across bounds: it sends each declaration and
-stable assertion once, and asserts the encoding's retractable (goal-side)
-assertions under push/pop.  A one-shot run that minimizes its core sends
-the last bound's assertions under (push 1) instead, so that when that
-bound is unsat, minimization goes on in the process that proved it.
+mode runs a fresh solver process over the emitted script: each process is
+sent one complete script, then EOF.  So that the next solver's start-up
+runs while the current bound is solved, the process for bound n+1 is
+started when bound n's script is sent: one process ahead, none past the
+last bound.  When a plan is found, or an error raised, before the last
+bound, that process is killed unused, so a wrapper that counts solver
+starts sees one more start than bounds solved.  A bound's timeout counts
+from when its script is sent.  Incremental mode keeps one process across
+bounds: it sends each declaration and stable assertion once, and asserts
+the encoding's retractable (goal-side) assertions under push/pop.  A
+one-shot run that minimizes its core sends the last bound's assertions
+under (push 1) instead, so that when that bound is unsat, minimization
+goes on in the process that proved it, the one started ahead for it.
 """
 
 from __future__ import annotations
@@ -36,8 +43,10 @@ from .smtlib import (
     emit,
     minimize_core,
     preamble,
+    reap,
     script_header,
     solve,
+    start,
 )
 from .synonymy import build_index
 
@@ -113,8 +122,18 @@ def plan(model: CapabilityModel, max_happenings: int,
     index = build_index(model)
     solver = config.solver
     session = _Incremental(solver) if config.incremental else None
+
+    def start_for(bound):
+        """A process for `bound`, interactive if it may go on to minimize;
+        none past the last bound."""
+        if bound > max_happenings:
+            return None
+        return start(solver, interactive=config.minimize and bound == max_happenings)
+
     # The last bound's process while it may go on to minimize its core.
     handoff: Optional[SmtProcess] = None
+    # The next bound's one-shot process, started while this bound solves.
+    ahead = None
     outcomes = []
     last_core = None
     last_encoding = None
@@ -126,14 +145,22 @@ def plan(model: CapabilityModel, max_happenings: int,
                              previous=encoding)
             if session is not None:
                 result = session.solve(encoding)
-            elif config.minimize and bound == max_happenings:
-                handoff = SmtProcess(solver)
-                result = handoff.exchange(_pushed_script(encoding, solver))
-                if not result.is_unsat:
-                    handoff.close()
-                    handoff = None
             else:
-                result = solve(emit(encoding, random_seed=solver.random_seed), solver)
+                hands_off = config.minimize and bound == max_happenings
+                script = (_pushed_script(encoding, solver) if hands_off
+                          else emit(encoding, random_seed=solver.random_seed))
+                # A process is `ahead`, for the finally clause to reap,
+                # until the next bound's has started.
+                ahead = ahead or start_for(bound)
+                process, ahead = ahead, start_for(bound + 1)
+                if hands_off:
+                    handoff = SmtProcess(solver, process)
+                    result = handoff.exchange(script)
+                    if not result.is_unsat:
+                        handoff.close()
+                        handoff = None
+                else:
+                    result = solve(script, solver, process)
             if result.is_sat:
                 return extract_plan(encoding, result.valuation)
             core = list(result.core) if result.core else None
@@ -151,6 +178,8 @@ def plan(model: CapabilityModel, max_happenings: int,
             session.close()
         if handoff is not None:
             handoff.close()
+        if ahead is not None:
+            reap(ahead)
     if last_encoding is not None:
         last_encoding = last_encoding.restricted(last_core or ())
     return NoPlanFound(

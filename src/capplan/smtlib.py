@@ -4,12 +4,14 @@ The encoding is rendered to plain SMT-LIB2 text, piped to any solver
 executable on its standard input, and the answer (sat + model, unsat +
 core, unknown) is parsed back: by solve(), one process per script, or
 by SmtProcess, one process for push/pop solving (incremental planning
-and core minimization).  minimize_core() can go on in the process that
-proved the core, when that process was sent the bound's assertions
-under (push 1).  Every script has one shape, set by script_header() and
-assertion_line(): it asks for models and unsat cores and names every
-assertion.  Values are kept as exact rationals throughout, so a model
-can be rechecked against the oracle without float drift.
+and core minimization).  Both start their process with start(), or take
+one that start() began earlier, so that its start-up overlaps other
+work.  minimize_core() can go on in the process that proved the core,
+when that process was sent the bound's assertions under (push 1).
+Every script has one shape, set by script_header() and assertion_line():
+it asks for models and unsat cores and names every assertion.  Values
+are kept as exact rationals throughout, so a model can be rechecked
+against the oracle without float drift.
 
 Answers are read with `capplan.sexp`, the one S-expression reader the
 reference solver also reads scripts with, and both paths interpret its
@@ -269,25 +271,53 @@ def _write_transcript(config: SolverConfig, kind: str, text: str,
         handle.write((f"; --- {kind} ---\n" if header else "") + text)
 
 
-def solve(text: str, config: SolverConfig) -> SolveOutcome:
-    """Run one solver process over the script and parse its answer."""
-    _write_transcript(config, "request", text)
+def start(config: SolverConfig, interactive: bool = False) -> subprocess.Popen:
+    """Start a solver process with its input and output on pipes.  An
+    interactive process (SmtProcess) discards its stderr; a one-shot
+    process (solve) has it captured, to explain an empty answer.  Popen
+    returns once the solver's executable has been started, so the solver
+    starts up while the caller goes on."""
     try:
-        completed = subprocess.run(
+        return subprocess.Popen(
             config.argv(),
-            input=text.encode("utf-8"),
-            capture_output=True,
-            timeout=config.timeout_seconds,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL if interactive else subprocess.PIPE,
         )
     except (FileNotFoundError, PermissionError) as exc:
         raise SolverLaunchError(f"cannot launch solver {config.argv()!r}: {exc}") from exc
+
+
+def reap(process: subprocess.Popen) -> None:
+    """Kill the process unless it has exited, close its pipes and wait for
+    it.  Harmless on a process already reaped."""
+    with process:
+        process.kill()
+
+
+def solve(text: str, config: SolverConfig,
+          process: Optional[subprocess.Popen] = None) -> SolveOutcome:
+    """Send the script and EOF to one solver process and parse its answer.
+
+    `process` is one that start(config) began earlier, so that its start-up
+    overlapped other work; without it a process is started here.  Either
+    way it is reaped before this returns or raises.  The timeout counts
+    from when the script is sent."""
+    try:
+        _write_transcript(config, "request", text)
+        process = process or start(config)
+        stdout, stderr = process.communicate(text.encode("utf-8"),
+                                             timeout=config.timeout_seconds)
     except subprocess.TimeoutExpired:
         _write_transcript(config, "response", "; timeout")
         return SolveOutcome(status="unknown", reason=TIMEOUT)
-    stdout = completed.stdout.decode("utf-8", errors="replace")
+    finally:
+        if process is not None:
+            reap(process)
+    stdout = stdout.decode("utf-8", errors="replace")
     _write_transcript(config, "response", stdout)
     if not stdout.strip():
-        stderr = completed.stderr.decode("utf-8", errors="replace")
+        stderr = stderr.decode("utf-8", errors="replace")
         raise SolverProtocolError(
             f"solver produced no output (stderr: {stderr.strip()[:300]!r})"
         )
@@ -343,21 +373,14 @@ def minimize_core(encoding: Encoding, core: list, config: SolverConfig,
 class SmtProcess:
     """A persistent solver process for incremental (push/pop) solving."""
 
-    def __init__(self, config: SolverConfig):
+    def __init__(self, config: SolverConfig,
+                 process: Optional[subprocess.Popen] = None):
+        """Drive `process`, one that start(config, interactive=True) began
+        earlier, or else a process started here."""
         self.config = config
         self._last_logged = None
         self._deadline = None  # end of the current exchange, if any
-        try:
-            self.proc = subprocess.Popen(
-                config.argv(),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-            )
-        except (FileNotFoundError, PermissionError) as exc:
-            raise SolverLaunchError(
-                f"cannot launch solver {config.argv()!r}: {exc}"
-            ) from exc
+        self.proc = process or start(config, interactive=True)
 
     def _log(self, kind: str, text: str) -> None:
         _write_transcript(self.config, kind, text, header=kind != self._last_logged)

@@ -1,3 +1,4 @@
+import signal
 import subprocess
 import sys
 import time
@@ -479,42 +480,106 @@ def test_a_minimizing_plan_starts_one_solver_process_per_bound(tmp_path):
     counter = tmp_path / "starts"
     solver = SolverConfig(command=_counted(counter, fixtures.REFSOLVER_CMD),
                           timeout_seconds=60.0)
+
+    def starts(model, max_happenings, **options):
+        counter.unlink(missing_ok=True)
+        result = plan(model, max_happenings, _config(solver=solver, **options))
+        return result, counter.read_text().count("started\n")
+
     model = fixtures.inert_goal_model()
-    result = plan(model, 2, _config(solver=solver, minimize=True))
+    result, started = starts(model, 2, minimize=True)
     assert isinstance(result, NoPlanFound) and result.all_unsat
     # Bounds 0 and 1 spawn one process each; the last bound's process goes
     # on to minimize its core, which takes more than one trial.
-    assert counter.read_text().count("started\n") == 3
+    assert started == 3
     encoding = build(model, build_index(model), 2)
     raw = solve(emit(encoding), SolverConfig(command=fixtures.REFSOLVER_CMD)).core
     assert len(raw) > 1 and result.last_core == minimize_core(
         encoding, raw, SolverConfig(command=fixtures.REFSOLVER_CMD))
     # A plan found at the last bound comes from that one process too.
-    counter.unlink()
-    result = plan(fixtures.transport_model(), 0, _config(solver=solver, minimize=True))
+    result, started = starts(fixtures.transport_model(), 0, minimize=True)
     assert isinstance(result, Plan)
-    assert counter.read_text().count("started\n") == 1
+    assert started == 1
+    # Without a plan, one process per bound, none past the last.
+    result, started = starts(model, 2)
+    assert isinstance(result, NoPlanFound) and started == 3
+    # A plan at bound b below the last: the b + 1 processes that solved
+    # bounds 0..b, and the one started ahead for bound b + 1, unused.
+    chained = fixtures.drive_transport_model(product_at=3, agv_at=5, goal=10)
+    for minimize in (True, False):
+        result, started = starts(chained, 3, minimize=minimize)
+        assert result.bound_happenings == 2 and started == 1 + 2
+    # One session across bounds starts no process ahead.
+    result, started = starts(model, 2, incremental=True)
+    assert isinstance(result, NoPlanFound) and started == 1
 
 
-# Each case: the solver command, given a scratch directory; the maximum
-# bound; and what plan() returns or raises.
+# The reference solver behind a wrapper that reads the whole script before
+# it starts the solver, so it answers only after EOF, as a solver that
+# reads its input as one batch does.
+BATCH_SOLVER = """
+import subprocess, sys
+script = sys.stdin.buffer.read()
+answer = subprocess.run(sys.argv[1:], input=script, capture_output=True).stdout
+sys.stdout.buffer.write(answer)
+"""
+
+
+def test_a_solver_that_answers_after_eof_gives_the_same_outcomes():
+    batch = SolverConfig(command=[sys.executable, "-c", BATCH_SOLVER,
+                                  *fixtures.REFSOLVER_CMD], timeout_seconds=60.0)
+    for model in (fixtures.transport_model(),
+                  fixtures.drive_transport_model(product_at=3, agv_at=5, goal=10),
+                  fixtures.inert_goal_model()):
+        expected = plan(model, 2, _config())
+        result = plan(model, 2, _config(solver=batch))
+        assert type(result) is type(expected)
+        if isinstance(expected, Plan):
+            assert result == expected
+        else:
+            assert result.outcomes == expected.outcomes
+            assert result.last_core == expected.last_core
+
+
+# Each case: the solver command, given a scratch directory; the model; the
+# maximum bound; what plan() returns or raises; and how many solver
+# processes it starts, with and without --minimize-core.
 ORPHAN_CASES = {
-    "sat": (lambda tmp: fixtures.REFSOLVER_CMD, 0, Plan),
-    "unsat": (lambda tmp: fixtures.REFSOLVER_CMD, 2, NoPlanFound),
+    "sat": (lambda tmp: fixtures.REFSOLVER_CMD, fixtures.transport_model, 0, Plan,
+            (1, 1)),
+    "unsat": (lambda tmp: fixtures.REFSOLVER_CMD, fixtures.inert_goal_model, 2,
+              NoPlanFound, (3, 3)),
     "unknown": (lambda tmp: [sys.executable, "-c", FAKE_SOLVER.format(
-        answers={"(check-sat)": "unknown"}, delay=0)], 2, NoPlanFound),
+        answers={"(check-sat)": "unknown"}, delay=0)], fixtures.inert_goal_model, 2,
+        NoPlanFound, (3, 3)),
     "timeout": (lambda tmp: [sys.executable, "-c", FAKE_SOLVER.format(
-        answers={"(check-sat)": None}, delay=0)], 1, NoPlanFound),
+        answers={"(check-sat)": None}, delay=0)], fixtures.inert_goal_model, 1,
+        NoPlanFound, (2, 2)),
     "garbage-status": (lambda tmp: [sys.executable, "-c", EXITING_SOLVER.format(
-        answers={"(check-sat)": "flubber\n"})], 0, SolverProtocolError),
+        answers={"(check-sat)": "flubber\n"})], fixtures.inert_goal_model, 0,
+        SolverProtocolError, (1, 1)),
     "exit-mid-minimization": (lambda tmp: fixtures.faulty_refsolver(
-        tmp / "check_sats", "exit", 2), 0, SolverProtocolError),
+        tmp / "check_sats", "exit", 2), fixtures.inert_goal_model, 0,
+        SolverProtocolError, (1, None)),
+    # The process started ahead for the next bound is never sent a script.
+    "plan-below-max": (lambda tmp: fixtures.REFSOLVER_CMD, fixtures.transport_model, 2,
+                       Plan, (2, 2)),
+    "garbage-status-below-max": (lambda tmp: [sys.executable, "-c", EXITING_SOLVER.format(
+        answers={"(check-sat)": "flubber\n"})], fixtures.inert_goal_model, 1,
+        SolverProtocolError, (2, 2)),
 }
+UNUSED_AHEAD = ("plan-below-max", "garbage-status-below-max")
 
 
-@pytest.mark.parametrize("case", ORPHAN_CASES)
-def test_no_solver_process_outlives_a_minimizing_plan(case, monkeypatch, tmp_path):
-    command, max_happenings, expected = ORPHAN_CASES[case]
+# The minimizing run of each case keeps the case's name; a run without
+# minimization, where it means something, is named "<case>-no-minimize".
+@pytest.mark.parametrize("case, minimize", [
+    pytest.param(case, minimize, id=case if minimize else f"{case}-no-minimize")
+    for case, (*_, starts) in ORPHAN_CASES.items()
+    for minimize, count in zip((True, False), starts) if count is not None])
+def test_no_solver_process_outlives_a_minimizing_plan(case, minimize, monkeypatch,
+                                                      tmp_path):
+    command, model, max_happenings, expected, starts = ORPHAN_CASES[case]
     started = []
 
     class Recorded(subprocess.Popen):
@@ -524,14 +589,14 @@ def test_no_solver_process_outlives_a_minimizing_plan(case, monkeypatch, tmp_pat
 
     monkeypatch.setattr(subprocess, "Popen", Recorded)
     timeout = 0.5 if case == "timeout" else 60.0
-    config = _config(minimize=True, solver=SolverConfig(command=command(tmp_path),
-                                                        timeout_seconds=timeout))
-    model = (fixtures.transport_model() if case == "sat"
-             else fixtures.inert_goal_model())
+    config = _config(minimize=minimize, solver=SolverConfig(
+        command=command(tmp_path), timeout_seconds=timeout))
     if issubclass(expected, Exception):
         with pytest.raises(expected):
-            plan(model, max_happenings, config)
+            plan(model(), max_happenings, config)
     else:
-        assert isinstance(plan(model, max_happenings, config), expected)
-    assert len(started) >= max_happenings + 1
+        assert isinstance(plan(model(), max_happenings, config), expected)
+    assert len(started) == starts[0 if minimize else 1]
     assert all(process.poll() is not None for process in started)
+    if case in UNUSED_AHEAD:
+        assert started[-1].returncode == -signal.SIGKILL

@@ -373,11 +373,15 @@ def test_minimized_cores_are_minimal(no_plan_cores):
 def test_plan_minimizes_in_the_last_bounds_process_to_the_same_cores(
         no_plan_models, no_plan_cores, monkeypatch):
     # The bounds before the last are answered in this process, as
-    # _reference_minimize answers its trials, without a spawn each; the
-    # last bound and the minimization that goes on in its process run
-    # through the pipe.
-    monkeypatch.setattr(planner, "solve",
-                        lambda text, config: parse_answer(fixtures.run_inprocess(text)))
+    # _reference_minimize answers its trials, and the process started
+    # for each is reaped unused; the last bound and the minimization that
+    # goes on in its process run through the pipe.
+    def answered_here(text, config, process=None):
+        if process is not None:
+            smtlib.reap(process)
+        return parse_answer(fixtures.run_inprocess(text))
+
+    monkeypatch.setattr(planner, "solve", answered_here)
     config = PlannerConfig(solver=_config(), minimize=True)
     assert sum(label.startswith("random") for label, *_ in no_plan_models) == 71
     for (label, model, bound), (_, _, _, minimal) in zip(no_plan_models, no_plan_cores):
@@ -498,9 +502,9 @@ def test_a_hung_last_bound_leaves_minimization_to_a_fresh_process(tmp_path, monk
     processes = []
     original = SmtProcess.__init__
 
-    def recorded(self, config):
+    def recorded(self, config, process=None):
         processes.append(self)
-        original(self, config)
+        original(self, config, process)
 
     monkeypatch.setattr(SmtProcess, "__init__", recorded)
     command = fixtures.faulty_refsolver(tmp_path / "check_sats", "hang", 3)
