@@ -31,11 +31,11 @@ _EXPORTS = {
     "PlannerConfig": "planner",
     "explain": "planner",
     "extract_plan": "planner",
+    "minimize_core": "planner",
     "plan": "planner",
     "SolverConfig": "smtlib",
     "SolveOutcome": "smtlib",
     "emit": "smtlib",
-    "minimize_core": "smtlib",
     "solve": "smtlib",
     "SynonymyIndex": "synonymy",
     "build_index": "synonymy",

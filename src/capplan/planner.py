@@ -16,12 +16,16 @@ started when bound n's script is sent: one process ahead, none past the
 last bound.  When a plan is found, or an error raised, before the last
 bound, that process is killed unused, so a wrapper that counts solver
 starts sees one more start than bounds solved.  A bound's timeout counts
-from when its script is sent.  Incremental mode keeps one process across
-bounds: it sends each declaration and stable assertion once, and asserts
-the encoding's retractable (goal-side) assertions under push/pop.  A
-one-shot run that minimizes its core sends the last bound's assertions
-under (push 1) instead, so that when that bound is unsat, minimization
-goes on in the process that proved it, the one started ahead for it.
+from when its script is sent.
+
+Every other check goes through one push/pop session (_Session): one
+process that is sent each declaration once and a check's assertions
+under (push 1).  Incremental mode keeps one session across bounds and
+sends the encoding's stable assertions once, outside any push, so only
+the retractable (goal-side) ones are popped between bounds.  A one-shot
+run that minimizes its core checks its last bound in a session of its
+own, in the process started ahead for it, and core minimization goes on
+in that session while its process is open.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ from .smtlib import (
     assertion_line,
     declaration,
     emit,
-    minimize_core,
-    preamble,
     reap,
     script_header,
     solve,
@@ -121,7 +123,7 @@ def plan(model: CapabilityModel, max_happenings: int,
         raise ValueError("max_happenings must be >= 0")
     index = build_index(model)
     solver = config.solver
-    session = _Incremental(solver) if config.incremental else None
+    session = _Session(solver) if config.incremental else None
 
     def start_for(bound):
         """A process for `bound`, interactive if it may go on to minimize;
@@ -130,8 +132,6 @@ def plan(model: CapabilityModel, max_happenings: int,
             return None
         return start(solver, interactive=config.minimize and bound == max_happenings)
 
-    # The last bound's process while it may go on to minimize its core.
-    handoff: Optional[SmtProcess] = None
     # The next bound's one-shot process, started while this bound solves.
     ahead = None
     outcomes = []
@@ -143,23 +143,20 @@ def plan(model: CapabilityModel, max_happenings: int,
             # Each bound reuses the happening blocks of the one before.
             encoding = build(model, index, bound, expanded=config.expanded,
                              previous=encoding)
-            if session is not None:
-                result = session.solve(encoding)
+            if config.incremental:
+                stable = [a for a in encoding.assertions if not a.retractable]
+                goal = [a for a in encoding.assertions if a.retractable]
+                result = session.check(encoding, goal, kept=stable)
             else:
-                hands_off = config.minimize and bound == max_happenings
-                script = (_pushed_script(encoding, solver) if hands_off
-                          else emit(encoding, random_seed=solver.random_seed))
                 # A process is `ahead`, for the finally clause to reap,
                 # until the next bound's has started.
                 ahead = ahead or start_for(bound)
                 process, ahead = ahead, start_for(bound + 1)
-                if hands_off:
-                    handoff = SmtProcess(solver, process)
-                    result = handoff.exchange(script)
-                    if not result.is_unsat:
-                        handoff.close()
-                        handoff = None
+                if config.minimize and bound == max_happenings:
+                    session = _Session(solver, process)
+                    result = session.check(encoding, encoding.assertions)
                 else:
+                    script = emit(encoding, random_seed=solver.random_seed)
                     result = solve(script, solver, process)
             if result.is_sat:
                 return extract_plan(encoding, result.valuation)
@@ -169,15 +166,15 @@ def plan(model: CapabilityModel, max_happenings: int,
             if result.is_unsat:
                 last_core = core
                 last_encoding = encoding
-        if session is not None:
-            session.close()  # before minimization starts its own process
         if config.minimize and last_core:
-            last_core = minimize_core(last_encoding, last_core, solver, handoff)
+            if config.incremental:
+                # The trials start a fresh process: the stable assertions
+                # this one holds outside any push must not join them.
+                session.close()
+            last_core = minimize_core(last_encoding, last_core, solver, session)
     finally:
         if session is not None:
             session.close()
-        if handoff is not None:
-            handoff.close()
         if ahead is not None:
             reap(ahead)
     if last_encoding is not None:
@@ -190,42 +187,43 @@ def plan(model: CapabilityModel, max_happenings: int,
     )
 
 
-class _Incremental:
-    """One solver process reused across bounds.
+class _Session:
+    """One solver process checked with push/pop over an encoding.
 
-    A process is sent each declaration and stable assertion once; a
-    bound's retractable assertions go under (push 1) and are popped before
-    the next bound.  After a timeout the process is gone (SmtProcess
-    kills it) and the next bound starts a fresh one.
+    Each check declares the encoding's variables the process has not seen
+    and asserts the `kept` assertions it has not been sent, outside any
+    push, then asserts `pushed` under (push 1); the next check pops them
+    first.  A process that timed out was killed by SmtProcess, so the next
+    check starts a fresh one and sends the script header again.
     """
 
-    def __init__(self, solver: SolverConfig):
+    def __init__(self, solver: SolverConfig, process=None):
+        """`process`, if given, is one start(solver, interactive=True)
+        began earlier for this session."""
         self.solver = solver
-        self.process: Optional[SmtProcess] = None
-        self.declared: set = set()
-        self.asserted: set = set()
+        self.process = SmtProcess(solver, process) if process is not None else None
+        self.opened = False  # whether the process was sent the script header
 
-    def solve(self, encoding: Encoding) -> SolveOutcome:
+    def check(self, encoding: Encoding, pushed, kept=(),
+              model: bool = True) -> SolveOutcome:
         if self.process is None or self.process.closed:
-            self.process = SmtProcess(self.solver)
-            self.declared, self.asserted = set(), set()
-            lines = script_header(encoding.logic, self.solver.random_seed)
-        else:
+            self.process, self.opened = SmtProcess(self.solver), False
+        if self.opened:
             lines = ["(pop 1)"]
+        else:
+            self.opened, self.declared, self.asserted = True, set(), set()
+            lines = script_header(encoding.logic, self.solver.random_seed)
         for symbol, key in encoding.variables.items():
             if symbol not in self.declared:
                 self.declared.add(symbol)
                 lines.append(declaration(symbol, key))
-        goal = []
-        for assertion in encoding.assertions:
-            if assertion.retractable:
-                goal.append(_line(assertion))
-            elif assertion.name not in self.asserted:
+        for assertion in kept:
+            if assertion.name not in self.asserted:
                 self.asserted.add(assertion.name)
                 lines.append(_line(assertion))
         lines.append("(push 1)")
-        lines += goal
-        return self.process.exchange("\n".join(lines) + "\n")
+        lines += [_line(assertion) for assertion in pushed]
+        return self.process.exchange("\n".join(lines) + "\n", model=model)
 
     def close(self) -> None:
         if self.process is not None:
@@ -236,13 +234,41 @@ def _line(assertion) -> str:
     return assertion_line(assertion.name, _render_term(assertion.term))
 
 
-def _pushed_script(encoding: Encoding, solver: SolverConfig) -> str:
-    """The one-shot script's declarations and assertions, with (push 1)
-    before the assertions: minimize_core's trials pop them."""
-    lines = preamble(encoding, solver.random_seed)
-    lines.append("(push 1)")
-    lines += [_line(assertion) for assertion in encoding.assertions]
-    return "\n".join(lines) + "\n"
+def minimize_core(encoding: Encoding, core: list, config: SolverConfig,
+                  session: Optional[_Session] = None) -> list:
+    """Deletion-based core minimization in one solver session.
+
+    Starting from the solver's core, each member in turn is dropped and
+    the rest re-checked; when that trial is unsat, its own core prunes the
+    candidates still to be tried, so a solver with small cores needs few
+    checks.  Each trial is one check of its members, pushed in encoding
+    order, so the solver checks the assertions of a one-shot script of
+    encoding.restricted(trial).  Only an unsat trial's answer is read, so
+    no model is fetched.  A trial that times out counts as not unsat, and
+    the next trial starts a fresh process.  The result is a minimal
+    unsatisfiable subset: dropping any single member makes the remainder
+    satisfiable.
+
+    `session`, if given and still open, is the one the last bound was
+    checked in, with nothing asserted outside its push; the trials go on
+    in it.  The session is closed at the end.
+    """
+    order = {a.name: i for i, a in enumerate(encoding.assertions)}
+    kept = [name for name in core if name in order]
+    session = session or _Session(config)
+    try:
+        for name in list(kept):
+            if name not in kept:
+                continue
+            trial = [n for n in kept if n != name]
+            members = sorted(set(trial), key=order.__getitem__)
+            outcome = session.check(encoding, [encoding.by_name[n] for n in members],
+                                    model=False)
+            if outcome.is_unsat:
+                kept = [n for n in trial if outcome.core is None or n in outcome.core]
+    finally:
+        session.close()
+    return sorted(kept, key=order.__getitem__)
 
 
 def extract_plan(encoding: Encoding, valuation: dict) -> Plan:

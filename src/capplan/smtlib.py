@@ -3,15 +3,13 @@
 The encoding is rendered to plain SMT-LIB2 text, piped to any solver
 executable on its standard input, and the answer (sat + model, unsat +
 core, unknown) is parsed back: by solve(), one process per script, or
-by SmtProcess, one process for push/pop solving (incremental planning
-and core minimization).  Both start their process with start(), or take
-one that start() began earlier, so that its start-up overlaps other
-work.  minimize_core() can go on in the process that proved the core,
-when that process was sent the bound's assertions under (push 1).
-Every script has one shape, set by script_header() and assertion_line():
-it asks for models and unsat cores and names every assertion.  Values
-are kept as exact rationals throughout, so a model can be rechecked
-against the oracle without float drift.
+by SmtProcess, one process that exchanges one check after another (the
+planner's push/pop session).  Both start their process with start(), or
+take one that start() began earlier, so that its start-up overlaps other
+work.  Every script has one shape, set by script_header() and
+assertion_line(): it asks for models and unsat cores and names every
+assertion.  Values are kept as exact rationals throughout, so a model can
+be rechecked against the oracle without float drift.
 
 Answers are read with `capplan.sexp`, the one S-expression reader the
 reference solver also reads scripts with, and both paths interpret its
@@ -155,20 +153,14 @@ def assertion_line(name: str, body: str) -> str:
     return f"(assert (! {body} :named {format_symbol(name)}))"
 
 
-def preamble(encoding: Encoding, random_seed: Optional[int]) -> list:
-    """The header and every declaration of the encoding: the lines that
-    open its one-shot script and a solver session over its assertions."""
-    return script_header(encoding.logic, random_seed) + [
-        declaration(symbol, key) for symbol, key in encoding.variables.items()]
-
-
 def emit(encoding: Encoding, random_seed: Optional[int] = None) -> str:
     """Render the encoding as a self-contained SMT-LIB2 script that asks
     for the model on sat and the core on unsat.
 
     Byte-deterministic: the same encoding always yields the same text.
     """
-    lines = preamble(encoding, random_seed)
+    lines = script_header(encoding.logic, random_seed)
+    lines += [declaration(symbol, key) for symbol, key in encoding.variables.items()]
     lines += [assertion_line(a.name, _render_term(a.term)) for a in encoding.assertions]
     lines += ["(check-sat)", "(get-model)", "(get-unsat-core)"]
     return "\n".join(lines) + "\n"
@@ -324,54 +316,9 @@ def solve(text: str, config: SolverConfig,
     return parse_answer(stdout)
 
 
-def minimize_core(encoding: Encoding, core: list, config: SolverConfig,
-                  session: Optional[SmtProcess] = None) -> list:
-    """Deletion-based core minimization in one solver session.
-
-    Starting from the solver's core, each member in turn is dropped and
-    the rest re-checked; when that trial is unsat, its own core prunes the
-    candidates still to be tried, so a solver with small cores needs few
-    checks.  The process is sent the script header and every declaration
-    once; each trial asserts its members under (push 1), in encoding
-    order, and is popped before the next, so the solver checks the
-    assertions of a one-shot script of encoding.restricted(trial).  Only
-    an unsat trial's answer is read, so no model is fetched.  A trial
-    that times out counts as not unsat, and the next trial starts a fresh
-    process.  The result is a minimal unsatisfiable subset: dropping any
-    single member makes the remainder satisfiable.
-
-    `session`, if given, is the process that found `core`: it was sent
-    preamble(encoding), (push 1) and every assertion, and answered unsat.
-    The trials go on in it, and it is closed at the end like any other.
-    """
-    order = {a.name: i for i, a in enumerate(encoding.assertions)}
-    kept = [name for name in core if name in order]
-    lines = {name: assertion_line(name, _render_term(encoding.by_name[name].term))
-             for name in kept}
-    process = session
-    try:
-        for name in list(kept):
-            if name not in kept:
-                continue
-            trial = [n for n in kept if n != name]
-            if process is None or process.closed:
-                process = SmtProcess(config)
-                text = preamble(encoding, config.random_seed)
-            else:
-                text = ["(pop 1)"]
-            text.append("(push 1)")
-            text += [lines[n] for n in sorted(set(trial), key=order.__getitem__)]
-            outcome = process.exchange("\n".join(text) + "\n", model=False)
-            if outcome.is_unsat:
-                kept = [n for n in trial if outcome.core is None or n in outcome.core]
-    finally:
-        if process is not None:
-            process.close()
-    return sorted(kept, key=order.__getitem__)
-
-
 class SmtProcess:
-    """A persistent solver process for incremental (push/pop) solving."""
+    """A persistent solver process, sent one exchange after another: the
+    process of the planner's push/pop session."""
 
     def __init__(self, config: SolverConfig,
                  process: Optional[subprocess.Popen] = None):

@@ -33,7 +33,8 @@ def run_inprocess(text: str) -> str:
 
 
 # The reference solver, except that the check-sat numbered `at`, counted
-# over every process in the counter file, hangs or exits unanswered.
+# over every process in the counter file, hangs, exits unanswered or is
+# answered `unknown`.
 FAULTY_REFSOLVER = """
 import sys, time
 from pathlib import Path
@@ -52,6 +53,9 @@ while True:
             time.sleep(60)
         if calls == at and fault == "exit":
             sys.exit(0)
+        if calls == at and fault == "unknown":
+            print("unknown", flush=True)
+            continue
     solver.execute(sexp)
 """
 

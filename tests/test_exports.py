@@ -27,7 +27,7 @@ EXPORTS = {
     "extract_plan": "planner",
     "load_model": "model",
     "merge_documents": "model",
-    "minimize_core": "smtlib",
+    "minimize_core": "planner",
     "parse_model": "model",
     "plan": "planner",
     "simulate": "oracle",

@@ -23,9 +23,10 @@ from capplan.planner import (
     PlannerConfig,
     explain,
     extract_plan,
+    minimize_core,
     plan,
 )
-from capplan.smtlib import SolverConfig, emit, minimize_core, solve
+from capplan.smtlib import SolverConfig, emit, solve
 from capplan.synonymy import build_index
 
 F = Fraction

@@ -20,13 +20,12 @@ from capplan.encoder import build
 from capplan.errors import SolverLaunchError, SolverProtocolError
 from capplan.model import load_model, merge_documents, parse_model
 from capplan.oracle import brute_force_plan
-from capplan.planner import PlannerConfig, plan
+from capplan.planner import PlannerConfig, minimize_core, plan
 from capplan.smtlib import (
     SmtProcess,
     SolverConfig,
     emit,
     format_value,
-    minimize_core,
     parse_answer,
     parse_value,
     solve,
@@ -404,7 +403,7 @@ def test_minimize_core_starts_one_solver_process(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(SmtProcess, method, recorded)
-    monkeypatch.setattr(smtlib, "solve", None)  # no one-shot solve either
+    monkeypatch.setattr(planner, "solve", None)  # no one-shot solve either
     assert minimize_core(encoding, core[::-1], _config()) == core
     assert len(calls["__init__"]) == 1
     assert len(calls["check_sat"]) == len(core)
@@ -517,6 +516,66 @@ def test_a_hung_last_bound_leaves_minimization_to_a_fresh_process(tmp_path, monk
     assert len(processes) == 2
     assert processes[0].proc.returncode == -signal.SIGKILL
     assert processes[1].proc.returncode == 0
+
+
+def test_an_unknown_last_bound_leaves_minimization_in_its_process(tmp_path, monkeypatch):
+    # As above, but the third check-sat is answered unknown: the last
+    # bound's process is still open, so bound 1's core is minimized in it,
+    # to the core a fresh session gives it, and no fourth process starts.
+    model = fixtures.inert_goal_model()
+    encoding = build(model, build_index(model), 1)
+    core = solve(emit(encoding), _config()).core
+    expected = minimize_core(encoding, core, _config())
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    counter = tmp_path / "check_sats"
+    command = fixtures.faulty_refsolver(counter, "unknown", 3)
+    result = plan(model, 2, PlannerConfig(solver=_config(command=command), minimize=True))
+    assert [(o.status, o.reason) for o in result.outcomes] == [
+        ("unsat", None), ("unsat", None), ("unknown", smtlib.SOLVER_UNKNOWN)]
+    assert result.last_core == expected and len(expected) > 1
+    assert len(started) == 3
+    assert int(counter.read_text()) == 3 + len(core)
+
+
+def test_incremental_minimization_goes_on_in_a_fresh_session(
+        no_plan_models, no_plan_cores, tmp_path, monkeypatch):
+    # The incremental session is closed before minimization starts its
+    # own, whose trials assert nothing outside (push 1): the bounds'
+    # stable assertions do not join them, so the cores are one-shot
+    # minimization's.
+    cases = [(label, model, bound, minimal)
+             for (label, model, bound), (*_, minimal) in zip(no_plan_models, no_plan_cores)
+             if label == "inert goal"
+             or label.startswith("random ") and int(label.split()[1]) < 20]
+    assert len(cases) > 5
+    sessions = []
+    original = SmtProcess.__init__
+
+    def recorded(self, config, process=None):
+        assert all(session.closed for session in sessions)
+        sessions.append(self)
+        original(self, config, process)
+
+    monkeypatch.setattr(SmtProcess, "__init__", recorded)
+    for i, (label, model, bound, minimal) in enumerate(cases):
+        sessions.clear()
+        transcript = tmp_path / f"{i}.smt2"
+        config = PlannerConfig(solver=_config(transcript=transcript),
+                               incremental=True, minimize=True)
+        assert plan(model, bound, config).last_core == minimal, label
+        assert len(sessions) == 2, label
+        _, trials = _sessions(transcript.read_text())
+        depth = 0
+        for line in trials.splitlines():
+            depth += (line == "(push 1)") - (line == "(pop 1)")
+            assert depth == 1 or not line.startswith("(assert "), label
 
 
 def test_solver_exiting_mid_session_is_a_protocol_error(tmp_path, capsys):
