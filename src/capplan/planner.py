@@ -8,24 +8,23 @@ solver cannot decide, a timeout included, is recorded as unknown and the
 loop goes on.  When every bound fails, the last unsat core is kept so the
 failure can be mapped back to model elements.
 
-Only where a bound's outcome comes from depends on the mode.  One-shot
-mode runs a fresh solver process over the emitted script: each process is
-sent one complete script, then EOF.  So that the next solver's start-up
-runs while the current bound is solved, the process for bound n+1 is
-started when bound n's script is sent: one process ahead, none past the
-last bound.  When a plan is found, or an error raised, before the last
-bound, that process is killed unused, so a wrapper that counts solver
-starts sees one more start than bounds solved.  A bound's timeout counts
-from when its script is sent.
+Only where a bound's outcome comes from depends on the mode.  Plain
+one-shot mode runs a fresh solver process over the emitted script: each
+process is sent one complete script, then EOF.  So that the next solver's
+start-up runs while the current bound is solved, the process for bound
+n+1 is started when bound n's script is sent: one process ahead, none
+past the last bound.  When a plan is found, or an error raised, before
+the last bound, that process is killed unused, so a wrapper that counts
+solver starts sees one more start than bounds solved.  A bound's timeout
+counts from when its script is sent.
 
 Every other check goes through one push/pop session (_Session): one
 process that is sent each declaration once and a check's assertions
-under (push 1).  Incremental mode keeps one session across bounds and
-sends the encoding's stable assertions once, outside any push, so only
-the retractable (goal-side) ones are popped between bounds.  A one-shot
-run that minimizes its core checks its last bound in a session of its
-own, in the process started ahead for it, and core minimization goes on
-in that session while its process is open.
+under (push 1).  Incremental mode sends the encoding's stable assertions
+once, outside any push, so only the retractable (goal-side) ones are
+popped between bounds.  A one-shot run that minimizes its core checks
+every bound in one session, each bound's whole encoding under (push 1),
+and core minimization goes on in that session while its process is open.
 """
 
 from __future__ import annotations
@@ -123,16 +122,9 @@ def plan(model: CapabilityModel, max_happenings: int,
         raise ValueError("max_happenings must be >= 0")
     index = build_index(model)
     solver = config.solver
-    session = _Session(solver) if config.incremental else None
-
-    def start_for(bound):
-        """A process for `bound`, interactive if it may go on to minimize;
-        none past the last bound."""
-        if bound > max_happenings:
-            return None
-        return start(solver, interactive=config.minimize and bound == max_happenings)
-
-    # The next bound's one-shot process, started while this bound solves.
+    session = _Session(solver) if config.incremental or config.minimize else None
+    # The next bound's one-shot process, started while this bound solves;
+    # none past the last bound.
     ahead = None
     outcomes = []
     last_core = None
@@ -147,17 +139,15 @@ def plan(model: CapabilityModel, max_happenings: int,
                 stable = [a for a in encoding.assertions if not a.retractable]
                 goal = [a for a in encoding.assertions if a.retractable]
                 result = session.check(encoding, goal, kept=stable)
+            elif session is not None:
+                result = session.check(encoding, encoding.assertions)
             else:
                 # A process is `ahead`, for the finally clause to reap,
                 # until the next bound's has started.
-                ahead = ahead or start_for(bound)
-                process, ahead = ahead, start_for(bound + 1)
-                if config.minimize and bound == max_happenings:
-                    session = _Session(solver, process)
-                    result = session.check(encoding, encoding.assertions)
-                else:
-                    script = emit(encoding, random_seed=solver.random_seed)
-                    result = solve(script, solver, process)
+                ahead = ahead or start(solver)
+                process, ahead = ahead, start(solver) if bound < max_happenings else None
+                script = emit(encoding, random_seed=solver.random_seed)
+                result = solve(script, solver, process)
             if result.is_sat:
                 return extract_plan(encoding, result.valuation)
             core = list(result.core) if result.core else None
@@ -194,15 +184,20 @@ class _Session:
     and asserts the `kept` assertions it has not been sent, outside any
     push, then asserts `pushed` under (push 1); the next check pops them
     first.  A process that timed out was killed by SmtProcess, so the next
-    check starts a fresh one and sends the script header again.
+    check starts a fresh one and sends the script header again.  Each
+    pushed assertion is rendered once per session: a minimizing run sends
+    the same happening blocks at every bound, and core minimization sends
+    its members at every trial.
     """
 
-    def __init__(self, solver: SolverConfig, process=None):
-        """`process`, if given, is one start(solver, interactive=True)
-        began earlier for this session."""
+    def __init__(self, solver: SolverConfig):
         self.solver = solver
-        self.process = SmtProcess(solver, process) if process is not None else None
+        self.process = None
         self.opened = False  # whether the process was sent the script header
+        # id(assertion) -> (assertion, line); holding the assertion keeps
+        # its id from being reused.  Boundary names repeat across bounds
+        # with other terms, so the name cannot be the key.
+        self.rendered = {}
 
     def check(self, encoding: Encoding, pushed, kept=(),
               model: bool = True) -> SolveOutcome:
@@ -222,7 +217,11 @@ class _Session:
                 self.asserted.add(assertion.name)
                 lines.append(_line(assertion))
         lines.append("(push 1)")
-        lines += [_line(assertion) for assertion in pushed]
+        for assertion in pushed:
+            cached = self.rendered.get(id(assertion))
+            if cached is None:
+                cached = self.rendered[id(assertion)] = (assertion, _line(assertion))
+            lines.append(cached[1])
         return self.process.exchange("\n".join(lines) + "\n", model=model)
 
     def close(self) -> None:
@@ -249,7 +248,7 @@ def minimize_core(encoding: Encoding, core: list, config: SolverConfig,
     unsatisfiable subset: dropping any single member makes the remainder
     satisfiable.
 
-    `session`, if given and still open, is the one the last bound was
+    `session`, if given and still open, is the one the bounds were
     checked in, with nothing asserted outside its push; the trials go on
     in it.  The session is closed at the end.
     """

@@ -4,9 +4,9 @@ The encoding is rendered to plain SMT-LIB2 text, piped to any solver
 executable on its standard input, and the answer (sat + model, unsat +
 core, unknown) is parsed back: by solve(), one process per script, or
 by SmtProcess, one process that exchanges one check after another (the
-planner's push/pop session).  Both start their process with start(), or
-take one that start() began earlier, so that its start-up overlaps other
-work.  Every script has one shape, set by script_header() and
+planner's push/pop session).  Both start their process with start();
+solve() may take one that start() began earlier, so that its start-up
+overlaps other work.  Every script has one shape, set by script_header() and
 assertion_line(): it asks for models and unsat cores and names every
 assertion.  Values are kept as exact rationals throughout, so a model can
 be rechecked against the oracle without float drift.
@@ -267,8 +267,8 @@ def start(config: SolverConfig, interactive: bool = False) -> subprocess.Popen:
     """Start a solver process with its input and output on pipes.  An
     interactive process (SmtProcess) discards its stderr; a one-shot
     process (solve) has it captured, to explain an empty answer.  Popen
-    returns once the solver's executable has been started, so the solver
-    starts up while the caller goes on."""
+    returns once the solver's executable has been started, so a one-shot
+    process started ahead starts up while the caller goes on."""
     try:
         return subprocess.Popen(
             config.argv(),
@@ -320,14 +320,11 @@ class SmtProcess:
     """A persistent solver process, sent one exchange after another: the
     process of the planner's push/pop session."""
 
-    def __init__(self, config: SolverConfig,
-                 process: Optional[subprocess.Popen] = None):
-        """Drive `process`, one that start(config, interactive=True) began
-        earlier, or else a process started here."""
+    def __init__(self, config: SolverConfig):
         self.config = config
         self._last_logged = None
         self._deadline = None  # end of the current exchange, if any
-        self.proc = process or start(config, interactive=True)
+        self.proc = start(config, interactive=True)
 
     def _log(self, kind: str, text: str) -> None:
         _write_transcript(self.config, kind, text, header=kind != self._last_logged)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,7 @@ from capplan.errors import (
     InvalidModel,
     SolverProtocolError,
 )
-from capplan.model import parse_model
+from capplan.model import load_model, parse_model
 from capplan.oracle import brute_force_plan, simulate
 from capplan.planner import (
     NoPlanFound,
@@ -30,6 +31,7 @@ from capplan.smtlib import SolverConfig, emit, solve
 from capplan.synonymy import build_index
 
 F = Fraction
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
 def _config(**overrides):
@@ -468,7 +470,7 @@ def test_minimality_matches_oracle_on_fixtures():
         assert result.bound_happenings == oracle_result.bound_happenings
 
 
-# -- core minimization in the last bound's process ------------------------------
+# -- solver process counts, minimizing or not -----------------------------------
 
 
 def _counted(counter, command) -> list:
@@ -477,22 +479,28 @@ def _counted(counter, command) -> list:
     return ["sh", "-c", 'echo started >> "$0"; exec "$@"', str(counter), *command]
 
 
-def test_a_minimizing_plan_starts_one_solver_process_per_bound(tmp_path):
+def _start_counter(tmp_path, timeout_seconds=60.0, command=fixtures.REFSOLVER_CMD):
+    """A function that runs plan() with a solver whose starts are counted,
+    and returns its result with the number of solver processes started."""
     counter = tmp_path / "starts"
-    solver = SolverConfig(command=_counted(counter, fixtures.REFSOLVER_CMD),
-                          timeout_seconds=60.0)
+    solver = SolverConfig(command=_counted(counter, command),
+                          timeout_seconds=timeout_seconds)
 
     def starts(model, max_happenings, **options):
         counter.unlink(missing_ok=True)
         result = plan(model, max_happenings, _config(solver=solver, **options))
         return result, counter.read_text().count("started\n")
+    return starts
 
+
+def test_a_minimizing_plan_starts_one_solver_process(tmp_path):
+    starts = _start_counter(tmp_path)
     model = fixtures.inert_goal_model()
     result, started = starts(model, 2, minimize=True)
     assert isinstance(result, NoPlanFound) and result.all_unsat
-    # Bounds 0 and 1 spawn one process each; the last bound's process goes
-    # on to minimize its core, which takes more than one trial.
-    assert started == 3
+    # Every bound is checked in one process, which goes on to minimize the
+    # last bound's core, which takes more than one trial.
+    assert started == 1
     encoding = build(model, build_index(model), 2)
     raw = solve(emit(encoding), SolverConfig(command=fixtures.REFSOLVER_CMD)).core
     assert len(raw) > 1 and result.last_core == minimize_core(
@@ -501,18 +509,50 @@ def test_a_minimizing_plan_starts_one_solver_process_per_bound(tmp_path):
     result, started = starts(fixtures.transport_model(), 0, minimize=True)
     assert isinstance(result, Plan)
     assert started == 1
-    # Without a plan, one process per bound, none past the last.
+    # Without minimization and without a plan, one process per bound, none
+    # past the last.
     result, started = starts(model, 2)
     assert isinstance(result, NoPlanFound) and started == 3
-    # A plan at bound b below the last: the b + 1 processes that solved
-    # bounds 0..b, and the one started ahead for bound b + 1, unused.
+    # A plan at bound b below the last: without minimization, the b + 1
+    # processes that solved bounds 0..b, and the one started ahead for
+    # bound b + 1, unused; a minimizing run starts no process ahead.
     chained = fixtures.drive_transport_model(product_at=3, agv_at=5, goal=10)
-    for minimize in (True, False):
+    for minimize, expected in ((True, 1), (False, 1 + 2)):
         result, started = starts(chained, 3, minimize=minimize)
-        assert result.bound_happenings == 2 and started == 1 + 2
+        assert result.bound_happenings == 2 and started == expected
     # One session across bounds starts no process ahead.
     result, started = starts(model, 2, incremental=True)
     assert isinstance(result, NoPlanFound) and started == 1
+
+
+def test_a_minimizing_run_starts_one_process_unless_a_check_times_out(tmp_path):
+    starts = _start_counter(tmp_path)
+    for max_happenings in range(4):
+        result, started = starts(fixtures.inert_goal_model(), max_happenings,
+                                 minimize=True)
+        assert isinstance(result, NoPlanFound) and result.last_core, max_happenings
+        assert started == 1, max_happenings
+    chained = load_model(EXAMPLES / "chained_domain.json",
+                         EXAMPLES / "transport_problem.json")
+    result, started = starts(chained, 3, minimize=True)
+    assert isinstance(result, Plan) and result.bound_happenings == 2
+    assert started == 1
+    # Bound 0's check-sat hangs: its process is killed, and bound 1 and
+    # every trial go on in the one fresh process started after it.
+    model = fixtures.inert_goal_model()
+    check_sats = tmp_path / "check_sats"
+    hang = _start_counter(tmp_path, timeout_seconds=0.5,
+                          command=fixtures.faulty_refsolver(check_sats, "hang", 1))
+    result, started = hang(model, 1, minimize=True)
+    assert [(o.status, o.reason) for o in result.outcomes] == [
+        ("unknown", "timeout"), ("unsat", None)]
+    assert started == 2
+    encoding = build(model, build_index(model), 1)
+    raw = solve(emit(encoding), SolverConfig(command=fixtures.REFSOLVER_CMD)).core
+    assert result.last_core == minimize_core(
+        encoding, raw, SolverConfig(command=fixtures.REFSOLVER_CMD))
+    # The hung check-sat, bound 1's, and one per trial.
+    assert int(check_sats.read_text()) == 2 + len(raw)
 
 
 # The reference solver behind a wrapper that reads the whole script before
@@ -549,10 +589,10 @@ ORPHAN_CASES = {
     "sat": (lambda tmp: fixtures.REFSOLVER_CMD, fixtures.transport_model, 0, Plan,
             (1, 1)),
     "unsat": (lambda tmp: fixtures.REFSOLVER_CMD, fixtures.inert_goal_model, 2,
-              NoPlanFound, (3, 3)),
+              NoPlanFound, (1, 3)),
     "unknown": (lambda tmp: [sys.executable, "-c", FAKE_SOLVER.format(
         answers={"(check-sat)": "unknown"}, delay=0)], fixtures.inert_goal_model, 2,
-        NoPlanFound, (3, 3)),
+        NoPlanFound, (1, 3)),
     "timeout": (lambda tmp: [sys.executable, "-c", FAKE_SOLVER.format(
         answers={"(check-sat)": None}, delay=0)], fixtures.inert_goal_model, 1,
         NoPlanFound, (2, 2)),
@@ -562,12 +602,13 @@ ORPHAN_CASES = {
     "exit-mid-minimization": (lambda tmp: fixtures.faulty_refsolver(
         tmp / "check_sats", "exit", 2), fixtures.inert_goal_model, 0,
         SolverProtocolError, (1, None)),
-    # The process started ahead for the next bound is never sent a script.
+    # Without minimization, the process started ahead for the next bound
+    # is never sent a script; a minimizing run starts none ahead.
     "plan-below-max": (lambda tmp: fixtures.REFSOLVER_CMD, fixtures.transport_model, 2,
-                       Plan, (2, 2)),
+                       Plan, (1, 2)),
     "garbage-status-below-max": (lambda tmp: [sys.executable, "-c", EXITING_SOLVER.format(
         answers={"(check-sat)": "flubber\n"})], fixtures.inert_goal_model, 1,
-        SolverProtocolError, (2, 2)),
+        SolverProtocolError, (1, 2)),
 }
 UNUSED_AHEAD = ("plan-below-max", "garbage-status-below-max")
 
@@ -599,5 +640,5 @@ def test_no_solver_process_outlives_a_minimizing_plan(case, minimize, monkeypatc
         assert isinstance(plan(model(), max_happenings, config), expected)
     assert len(started) == starts[0 if minimize else 1]
     assert all(process.poll() is not None for process in started)
-    if case in UNUSED_AHEAD:
+    if case in UNUSED_AHEAD and not minimize:
         assert started[-1].returncode == -signal.SIGKILL

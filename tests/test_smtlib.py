@@ -371,20 +371,23 @@ def test_minimized_cores_are_minimal(no_plan_cores):
 
 def test_plan_minimizes_in_the_last_bounds_process_to_the_same_cores(
         no_plan_models, no_plan_cores, monkeypatch):
-    # The bounds before the last are answered in this process, as
-    # _reference_minimize answers its trials, and the process started
-    # for each is reaped unused; the last bound and the minimization that
-    # goes on in its process run through the pipe.
+    # A minimizing run checks every bound, and minimizes, in one session
+    # through the pipe; a plain one-shot run of the same model, whose
+    # scripts are answered in this process, gives the same outcome at every
+    # bound, raw core included.
     def answered_here(text, config, process=None):
         if process is not None:
             smtlib.reap(process)
         return parse_answer(fixtures.run_inprocess(text))
 
-    monkeypatch.setattr(planner, "solve", answered_here)
-    config = PlannerConfig(solver=_config(), minimize=True)
+    minimizing = PlannerConfig(solver=_config(), minimize=True)
     assert sum(label.startswith("random") for label, *_ in no_plan_models) == 71
     for (label, model, bound), (_, _, _, minimal) in zip(no_plan_models, no_plan_cores):
-        result = plan(model, bound, config)
+        result = plan(model, bound, minimizing)
+        with monkeypatch.context() as patch:
+            patch.setattr(planner, "solve", answered_here)
+            oneshot = plan(model, bound, PlannerConfig(solver=_config()))
+        assert result.outcomes == oneshot.outcomes, label
         assert result.last_core == minimal, label
 
 
@@ -437,28 +440,37 @@ def test_minimization_transcript_is_one_session_that_replays(tmp_path, capsys):
                      "--transcript", str(transcript)])
     core = json.loads(capsys.readouterr().out)["explanation"]["core"]
     assert code == 2
-    # One one-shot script per bound before the last; the last bound opens
-    # the minimization session, which then makes one push/pop check-sat
-    # per trial, and sends no header or declaration again.
-    *bounds, session = _sessions(transcript.read_text())
-    assert len(bounds) == 2
-    assert all(text.count("(check-sat)") == 1 for text in bounds)
-    # The session's first check-sat is the last bound's: its one-shot
-    # script, line for line, with (push 1) before the assertions, answered
-    # unsat with a core.
+    # Every bound and every trial is checked in one session, which is sent
+    # the script header and each declaration once.
+    [session] = _sessions(transcript.read_text())
+    # One check per bound first: its one-shot script's declarations not
+    # sent before and its assertions, under (push 1), after the (pop 1)
+    # of the bound before.
     model = fixtures.random_model(0)
-    script = emit(build(model, build_index(model), 2)).splitlines()
-    assertions = next(i for i, line in enumerate(script) if line.startswith("(assert "))
-    opening = script[:assertions] + ["(push 1)"] + script[assertions:-2]
-    assert session.startswith("; --- request ---\n" + "\n".join(opening) + "\n"
-                              "; --- response ---\n; unsat\n"
-                              "; --- request ---\n(get-unsat-core)\n")
-    checks = session.count("(check-sat)")
-    assert checks - 1 >= len(core) > 1
-    assert session.count("(push 1)") == checks
-    assert session.count("(pop 1)") == checks - 1
+    index = build_index(model)
+    expected, declared = [], set()
+    for bound in range(3):
+        script = emit(build(model, index, bound)).splitlines()
+        assertions = next(i for i, line in enumerate(script)
+                          if line.startswith("(assert "))
+        lines = ["(pop 1)"] if bound else [
+            line for line in script[:assertions] if not line.startswith("(declare-")]
+        lines += [line for line in script[:assertions]
+                  if line.startswith("(declare-") and line not in declared]
+        declared.update(script[:assertions])
+        lines += ["(push 1)", *script[assertions:-3], "(check-sat)"]
+        expected.append("\n".join(lines) + "\n")
+    requests = [piece.split("; --- response ---\n")[0]
+                for piece in session.split("; --- request ---\n")[1:]]
+    # Each bound is answered unsat and asked for its core; the trials follow.
+    assert requests[:6:2] == expected and requests[1:6:2] == ["(get-unsat-core)\n"] * 3
+    checks = [text for text in requests if text.endswith("(check-sat)\n")]
+    assert len(checks) - 3 >= len(core) > 1
+    assert session.count("(push 1)") == len(checks)
+    assert session.count("(pop 1)") == len(checks) - 1
     assert session.count("(set-logic ") == 1
-    # A trial's model is never read, so it is never asked for.
+    # No bound has a model to read, and a trial's is never read, so none
+    # is asked for.
     assert "(get-model)" not in session
     replayed = subprocess.run(fixtures.REFSOLVER_CMD, input=session,
                               capture_output=True, text=True, check=True)
@@ -501,9 +513,9 @@ def test_a_hung_last_bound_leaves_minimization_to_a_fresh_process(tmp_path, monk
     processes = []
     original = SmtProcess.__init__
 
-    def recorded(self, config, process=None):
+    def recorded(self, config):
         processes.append(self)
-        original(self, config, process)
+        original(self, config)
 
     monkeypatch.setattr(SmtProcess, "__init__", recorded)
     command = fixtures.faulty_refsolver(tmp_path / "check_sats", "hang", 3)
@@ -519,9 +531,10 @@ def test_a_hung_last_bound_leaves_minimization_to_a_fresh_process(tmp_path, monk
 
 
 def test_an_unknown_last_bound_leaves_minimization_in_its_process(tmp_path, monkeypatch):
-    # As above, but the third check-sat is answered unknown: the last
-    # bound's process is still open, so bound 1's core is minimized in it,
-    # to the core a fresh session gives it, and no fourth process starts.
+    # As above, but the third check-sat is answered unknown: the process
+    # every bound was checked in is still open, so bound 1's core is
+    # minimized in it, to the core a fresh session gives it, and no second
+    # process starts.
     model = fixtures.inert_goal_model()
     encoding = build(model, build_index(model), 1)
     core = solve(emit(encoding), _config()).core
@@ -540,7 +553,7 @@ def test_an_unknown_last_bound_leaves_minimization_in_its_process(tmp_path, monk
     assert [(o.status, o.reason) for o in result.outcomes] == [
         ("unsat", None), ("unsat", None), ("unknown", smtlib.SOLVER_UNKNOWN)]
     assert result.last_core == expected and len(expected) > 1
-    assert len(started) == 3
+    assert len(started) == 1
     assert int(counter.read_text()) == 3 + len(core)
 
 
@@ -558,10 +571,10 @@ def test_incremental_minimization_goes_on_in_a_fresh_session(
     sessions = []
     original = SmtProcess.__init__
 
-    def recorded(self, config, process=None):
+    def recorded(self, config):
         assert all(session.closed for session in sessions)
         sessions.append(self)
-        original(self, config, process)
+        original(self, config)
 
     monkeypatch.setattr(SmtProcess, "__init__", recorded)
     for i, (label, model, bound, minimal) in enumerate(cases):
