@@ -43,7 +43,7 @@ from . import expr as ex
 from .errors import UnsupportedExpression
 from .model import Capability, CapabilityModel, Datatype, Property
 from .sexp import SIMPLE_SYMBOL_CHARS
-from .synonymy import SynonymyIndex, affecting_capabilities, mutex_pairs
+from .synonymy import SynonymyIndex
 
 # Any character that may not occur in a simple symbol.
 _NOT_SIMPLE = re.compile(f"[^{re.escape(''.join(sorted(SIMPLE_SYMBOL_CHARS)))}]")
@@ -384,8 +384,8 @@ class _Builder:
             before = self.state_ref(state, t, 0)
             after = self.state_ref(state, t, 1)
             if sort is Datatype.BOOLEAN:
-                pos = affecting_capabilities(self.index, cls_id, "positive")
-                neg = affecting_capabilities(self.index, cls_id, "negative")
+                pos = self.index.affecting[cls_id, "positive"]
+                neg = self.index.affecting[cls_id, "negative"]
                 self.emit(
                     ex.implies(
                         after,
@@ -401,7 +401,7 @@ class _Builder:
                     "frame", state, t, "frame", state, f"t{t}", "neg",
                 )
             else:
-                num = affecting_capabilities(self.index, cls_id, "numeric")
+                num = self.index.affecting[cls_id, "numeric"]
                 unchanged = ex.apply_op("eq", after, before)
                 if num:
                     term = ex.implies(
@@ -414,7 +414,7 @@ class _Builder:
     def assert_mutexes(self, t: int) -> None:
         # Terms are immutable, so each `(not cap)` serves every pair it is in.
         idle = {cap.id: ex.negate(self.cap(cap.id, t)) for cap in self.caps}
-        for first, second in mutex_pairs(self.model, self.index):
+        for first, second in self.index.mutexes:
             term = ex.disj([idle[first], idle[second]])
             self.emit(term, "mutex", f"{first}|{second}", t,
                       "mutex", first, second, f"t{t}")

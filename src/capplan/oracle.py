@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import expr as ex
 from .errors import DivisionByZero, DomainTooLarge
 from .model import Capability, CapabilityModel, Datatype
-from .synonymy import SynonymyIndex, affecting_capabilities, mutex_pairs
+from .synonymy import SynonymyIndex
 
 _SEARCH_BUDGET = 200_000
 
@@ -182,7 +182,7 @@ def simulate(model: CapabilityModel, index: SynonymyIndex, plan) -> Verdict:
         if not _holds(constraint, init_val):
             flag("InitMismatch", 0, required.id, f"required constraint {i} fails")
 
-    mutexes = set(mutex_pairs(model, index))
+    mutexes = set(index.mutexes)
     for t, happening in enumerate(happenings):
         applied = sorted(set(happening.applied))
         layer0_val = _class_valuation(index, happening.layer0)
@@ -235,11 +235,11 @@ def simulate(model: CapabilityModel, index: SynonymyIndex, plan) -> Verdict:
             if before == after:
                 continue
             if cls.datatype is Datatype.REAL:
-                movers = affecting_capabilities(index, cls.class_id, "numeric")
+                movers = index.affecting[cls.class_id, "numeric"]
             elif after:
-                movers = affecting_capabilities(index, cls.class_id, "positive")
+                movers = index.affecting[cls.class_id, "positive"]
             else:
-                movers = affecting_capabilities(index, cls.class_id, "negative")
+                movers = index.affecting[cls.class_id, "negative"]
             if not set(movers) & set(applied):
                 flag("FrameViolation", t, cls.class_id,
                      "class changed with no affecting capability applied")
@@ -491,7 +491,7 @@ def brute_force_plan(model, index, max_happenings: int, value_domain=None):
         domain = tuple(value_domain)
     else:
         domain = default_value_domain(model, max_happenings)
-    mutexes = set(mutex_pairs(model, index))
+    mutexes = set(index.mutexes)
     cap_ids = sorted(cap.id for cap in model.provided)
 
     subsets = []

@@ -19,12 +19,14 @@ solver starts sees one more start than bounds solved.  A bound's timeout
 counts from when its script is sent.
 
 Every other check goes through one push/pop session (_Session): one
-process that is sent each declaration once and a check's assertions
-under (push 1).  Incremental mode sends the encoding's stable assertions
-once, outside any push, so only the retractable (goal-side) ones are
-popped between bounds.  A one-shot run that minimizes its core checks
-every bound in one session, each bound's whole encoding under (push 1),
-and core minimization goes on in that session while its process is open.
+process that is sent the script header when it starts, each declaration
+once, and a check's assertions under (push 1).  Its process is replaced
+only after a check times out.  A run that minimizes its core checks every
+bound with the whole encoding under (push 1), with or without
+incremental mode, and core minimization goes on in the same session.
+Plain incremental mode sends the encoding's stable assertions once,
+outside any push, so only the retractable (goal-side) ones are popped
+between bounds.
 """
 
 from __future__ import annotations
@@ -135,19 +137,20 @@ def plan(model: CapabilityModel, max_happenings: int,
             # Each bound reuses the happening blocks of the one before.
             encoding = build(model, index, bound, expanded=config.expanded,
                              previous=encoding)
-            if config.incremental:
-                stable = [a for a in encoding.assertions if not a.retractable]
-                goal = [a for a in encoding.assertions if a.retractable]
-                result = session.check(encoding, goal, kept=stable)
-            elif session is not None:
-                result = session.check(encoding, encoding.assertions)
-            else:
+            if session is None:
                 # A process is `ahead`, for the finally clause to reap,
                 # until the next bound's has started.
                 ahead = ahead or start(solver)
                 process, ahead = ahead, start(solver) if bound < max_happenings else None
                 script = emit(encoding, random_seed=solver.random_seed)
                 result = solve(script, solver, process)
+            elif config.minimize:
+                # Nothing outside the push, so the trials can follow.
+                result = session.check(encoding, encoding.assertions)
+            else:
+                stable = [a for a in encoding.assertions if not a.retractable]
+                goal = [a for a in encoding.assertions if a.retractable]
+                result = session.check(encoding, goal, kept=stable)
             if result.is_sat:
                 return extract_plan(encoding, result.valuation)
             core = list(result.core) if result.core else None
@@ -157,10 +160,6 @@ def plan(model: CapabilityModel, max_happenings: int,
                 last_core = core
                 last_encoding = encoding
         if config.minimize and last_core:
-            if config.incremental:
-                # The trials start a fresh process: the stable assertions
-                # this one holds outside any push must not join them.
-                session.close()
             last_core = minimize_core(last_encoding, last_core, solver, session)
     finally:
         if session is not None:
@@ -180,11 +179,12 @@ def plan(model: CapabilityModel, max_happenings: int,
 class _Session:
     """One solver process checked with push/pop over an encoding.
 
-    Each check declares the encoding's variables the process has not seen
-    and asserts the `kept` assertions it has not been sent, outside any
-    push, then asserts `pushed` under (push 1); the next check pops them
-    first.  A process that timed out was killed by SmtProcess, so the next
-    check starts a fresh one and sends the script header again.  Each
+    A check that starts a process sends it the script header; any other
+    check pops what the check before pushed.  Each check then declares the
+    encoding's variables the process has not seen and asserts the `kept`
+    assertions it has not been sent, outside any push, then asserts
+    `pushed` under (push 1).  A process that timed out was killed by
+    SmtProcess, so the next check starts a fresh one.  Each
     pushed assertion is rendered once per session: a minimizing run sends
     the same happening blocks at every bound, and core minimization sends
     its members at every trial.
@@ -193,7 +193,6 @@ class _Session:
     def __init__(self, solver: SolverConfig):
         self.solver = solver
         self.process = None
-        self.opened = False  # whether the process was sent the script header
         # id(assertion) -> (assertion, line); holding the assertion keeps
         # its id from being reused.  Boundary names repeat across bounds
         # with other terms, so the name cannot be the key.
@@ -202,12 +201,11 @@ class _Session:
     def check(self, encoding: Encoding, pushed, kept=(),
               model: bool = True) -> SolveOutcome:
         if self.process is None or self.process.closed:
-            self.process, self.opened = SmtProcess(self.solver), False
-        if self.opened:
-            lines = ["(pop 1)"]
-        else:
-            self.opened, self.declared, self.asserted = True, set(), set()
+            self.process = SmtProcess(self.solver)
+            self.declared, self.asserted = set(), set()
             lines = script_header(encoding.logic, self.solver.random_seed)
+        else:
+            lines = ["(pop 1)"]
         for symbol, key in encoding.variables.items():
             if symbol not in self.declared:
                 self.declared.add(symbol)
@@ -248,9 +246,9 @@ def minimize_core(encoding: Encoding, core: list, config: SolverConfig,
     unsatisfiable subset: dropping any single member makes the remainder
     satisfiable.
 
-    `session`, if given and still open, is the one the bounds were
-    checked in, with nothing asserted outside its push; the trials go on
-    in it.  The session is closed at the end.
+    `session`, if given, is the one the bounds were checked in, with
+    nothing asserted outside its push; the trials go on in it.  The
+    session is closed at the end.
     """
     order = {a.name: i for i, a in enumerate(encoding.assertions)}
     kept = [name for name in core if name in order]

@@ -52,7 +52,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .sexp import SexpError, SexpReader, quote, unquote
+from .sexp import SexpError, SexpReader, format_value, quote, unquote
 
 EQ, LE, LT, NE = "eq", "le", "lt", "ne"
 # How many equalities on other values each equality atom excludes in the
@@ -1163,28 +1163,6 @@ class Dpll:
 # -- command interpreter --------------------------------------------------------
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    value = Fraction(value)
-    if value < 0:
-        return f"(- {_format_value(-value)})"
-    if value.denominator == 1:
-        return f"{value.numerator}.0"
-    scaled = value
-    digits = 0
-    while scaled.denominator % 2 == 0:
-        scaled *= 2
-        digits += 1
-    while scaled.denominator % 5 == 0:
-        scaled *= 5
-        digits += 1
-    if scaled.denominator != 1:
-        return f"(/ {value.numerator} {value.denominator})"
-    text = str(value.numerator * 10**digits // value.denominator).rjust(digits + 1, "0")
-    return f"{text[:-digits]}.{text[-digits:]}"
-
-
 class RefSolver:
     def __init__(self, out=None):
         self.out = out or sys.stdout
@@ -1367,7 +1345,7 @@ class RefSolver:
                 name, False if sort == "Bool" else Fraction(0)
             )
             lines.append(
-                f"  (define-fun {quote(name)} () {sort} {_format_value(value)})"
+                f"  (define-fun {quote(name)} () {sort} {format_value(value)})"
             )
         lines.append(")")
         self._print("\n".join(lines))

@@ -1,11 +1,13 @@
-"""SMT-LIB2 S-expressions: the one reader and symbol quoter of capplan.
+"""SMT-LIB2 S-expressions: the one reader, symbol quoter and value
+printer of capplan.
 
 Both ends of the solver pipe read with it: the client reads solver
 answers (`smtlib`), and the reference solver reads scripts (`refsolver`).
-The lexicon is that of the SMT-LIB Standard v2.6, section 3.1.  A node is
-an atom string or a list of nodes; a quoted symbol keeps its bars and a
-string literal its quotes and `""` escapes, so every atom is exactly its
-source text.
+Both print values with format_value: the client in its scripts, the
+reference solver in its models.  The lexicon is that of the SMT-LIB
+Standard v2.6, section 3.1.  A node is an atom string or a list of
+nodes; a quoted symbol keeps its bars and a string literal its quotes
+and `""` escapes, so every atom is exactly its source text.
 
 This module imports nothing from capplan, so a spawned reference solver
 loads it and nothing else.
@@ -14,6 +16,7 @@ loads it and nothing else.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 # One token per match, after any blanks and line-ended `;` comments: a
 # parenthesis, an atom (a plain token, a `|quoted symbol|`, or a string
@@ -180,3 +183,16 @@ def unquote(symbol: str) -> str:
     if symbol.startswith("|") and symbol.endswith("|"):
         return symbol[1:-1]
     return symbol
+
+
+def format_value(value) -> str:
+    """A bool or exact number as an SMT-LIB value: `true`, `2.0`,
+    `(/ 5 2)`, `(- (/ 5 2))`."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    value = Fraction(value)
+    if value < 0:
+        return f"(- {format_value(-value)})"
+    if value.denominator == 1:
+        return f"{value.numerator}.0"
+    return f"(/ {value.numerator} {value.denominator})"

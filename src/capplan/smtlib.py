@@ -4,28 +4,34 @@ The encoding is rendered to plain SMT-LIB2 text, piped to any solver
 executable on its standard input, and the answer (sat + model, unsat +
 core, unknown) is parsed back: by solve(), one process per script, or
 by SmtProcess, one process that exchanges one check after another (the
-planner's push/pop session).  Both start their process with start();
-solve() may take one that start() began earlier, so that its start-up
-overlaps other work.  Every script has one shape, set by script_header() and
-assertion_line(): it asks for models and unsat cores and names every
-assertion.  Values are kept as exact rationals throughout, so a model can
-be rechecked against the oracle without float drift.
+planner's push/pop session).  Both start their process with start(),
+which keeps the solver's stderr, so a solver that fails is quoted the
+same way on either path; solve() may take one that start() began
+earlier, so that its start-up overlaps other work.  Every script has one
+shape, set by script_header() and assertion_line(): it asks for models
+and unsat cores and names every assertion.  Values are kept as exact
+rationals throughout, so a model can be rechecked against the oracle
+without float drift.
 
-Answers are read with `capplan.sexp`, the one S-expression reader the
-reference solver also reads scripts with, and both paths interpret its
-nodes alike: the first node that is not an `(error …)` or `unsupported`
-is the status, an `(error …)` may span lines, and the model or core is
-read from the nodes after it.  SmtProcess feeds each pipe chunk to the
-reader and stops at the first complete node it needs; an answer left
-unfinished by a live solver waits for the rest until the timeout.
+Values are printed with `capplan.sexp.format_value`, which the
+reference solver prints its models with, and answers are read with
+`capplan.sexp`, the one S-expression reader the reference solver also
+reads scripts with.  solve() and SmtProcess interpret its nodes alike:
+the first node that is not an `(error …)` or `unsupported` is the status,
+an `(error …)` may span lines, and the model or core is read from the
+nodes after it.  SmtProcess feeds each pipe chunk to the reader and
+stops at the first complete node it needs; an answer left unfinished by
+a live solver waits for the rest until the timeout.
 """
 
 from __future__ import annotations
 
 import codecs
+import os
 import select
 import shlex
 import subprocess
+import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +42,7 @@ from . import expr as ex
 from .encoder import Encoding
 from .errors import SolverLaunchError, SolverProtocolError
 from .model import Datatype
-from .sexp import Reader, SexpError, parse_sexprs, quote, unquote
+from .sexp import Reader, SexpError, format_value, parse_sexprs, quote, unquote
 
 _SMT_OPS = {
     "plus": "+",
@@ -104,17 +110,6 @@ def format_symbol(name: str) -> str:
     if "|" in name or "\\" in name:
         raise SolverProtocolError(f"symbol not representable in SMT-LIB: {name!r}")
     return quote(name)
-
-
-def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    value = Fraction(value)
-    if value < 0:
-        return f"(- {format_value(-value)})"
-    if value.denominator == 1:
-        return f"{value.numerator}.0"
-    return f"(/ {value.numerator} {value.denominator})"
 
 
 def _render_term(term) -> str:
@@ -263,28 +258,41 @@ def _write_transcript(config: SolverConfig, kind: str, text: str,
         handle.write((f"; --- {kind} ---\n" if header else "") + text)
 
 
-def start(config: SolverConfig, interactive: bool = False) -> subprocess.Popen:
-    """Start a solver process with its input and output on pipes.  An
-    interactive process (SmtProcess) discards its stderr; a one-shot
-    process (solve) has it captured, to explain an empty answer.  Popen
+def start(config: SolverConfig) -> subprocess.Popen:
+    """Start a solver process, one-shot (solve) or a session's (SmtProcess),
+    with its input and output on pipes.  Its stderr goes to an unnamed
+    temporary file, `stderr_file`, which nothing has to drain while the
+    solver runs; _solver_error() quotes it, and reap() closes it.  Popen
     returns once the solver's executable has been started, so a one-shot
     process started ahead starts up while the caller goes on."""
+    stderr = tempfile.TemporaryFile()
     try:
-        return subprocess.Popen(
-            config.argv(),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL if interactive else subprocess.PIPE,
-        )
-    except (FileNotFoundError, PermissionError) as exc:
-        raise SolverLaunchError(f"cannot launch solver {config.argv()!r}: {exc}") from exc
+        process = subprocess.Popen(config.argv(), stdin=subprocess.PIPE,
+                                   stdout=subprocess.PIPE, stderr=stderr)
+    except BaseException as exc:
+        stderr.close()
+        if isinstance(exc, OSError):  # missing, not executable, not a program
+            raise SolverLaunchError(
+                f"cannot launch solver {config.argv()!r}: {exc}") from exc
+        raise
+    process.stderr_file = stderr
+    return process
 
 
 def reap(process: subprocess.Popen) -> None:
-    """Kill the process unless it has exited, close its pipes and wait for
-    it.  Harmless on a process already reaped."""
+    """Kill the process unless it has exited, close its pipes and its
+    stderr file and wait for it.  Harmless on a process already reaped."""
+    process.stderr_file.close()
     with process:
         process.kill()
+
+
+def _solver_error(process: subprocess.Popen, message: str) -> SolverProtocolError:
+    """A protocol error that quotes the start of the solver's stderr.  It
+    is read at offset 0 without moving the offset the solver writes at."""
+    stderr = os.pread(process.stderr_file.fileno(), 65536, 0)
+    excerpt = stderr.decode("utf-8", errors="replace").strip()[:300]
+    return SolverProtocolError(f"{message} (stderr: {excerpt!r})")
 
 
 def solve(text: str, config: SolverConfig,
@@ -298,21 +306,18 @@ def solve(text: str, config: SolverConfig,
     try:
         _write_transcript(config, "request", text)
         process = process or start(config)
-        stdout, stderr = process.communicate(text.encode("utf-8"),
-                                             timeout=config.timeout_seconds)
+        stdout, _ = process.communicate(text.encode("utf-8"),
+                                        timeout=config.timeout_seconds)
+        stdout = stdout.decode("utf-8", errors="replace")
+        _write_transcript(config, "response", stdout)
+        if not stdout.strip():
+            raise _solver_error(process, "solver produced no output")
     except subprocess.TimeoutExpired:
         _write_transcript(config, "response", "; timeout")
         return SolveOutcome(status="unknown", reason=TIMEOUT)
     finally:
         if process is not None:
             reap(process)
-    stdout = stdout.decode("utf-8", errors="replace")
-    _write_transcript(config, "response", stdout)
-    if not stdout.strip():
-        stderr = stderr.decode("utf-8", errors="replace")
-        raise SolverProtocolError(
-            f"solver produced no output (stderr: {stderr.strip()[:300]!r})"
-        )
     return parse_answer(stdout)
 
 
@@ -324,7 +329,7 @@ class SmtProcess:
         self.config = config
         self._last_logged = None
         self._deadline = None  # end of the current exchange, if any
-        self.proc = start(config, interactive=True)
+        self.proc = start(config)
 
     def _log(self, kind: str, text: str) -> None:
         _write_transcript(self.config, kind, text, header=kind != self._last_logged)
@@ -336,7 +341,7 @@ class SmtProcess:
             self.proc.stdin.write(text.encode("utf-8"))
             self.proc.stdin.flush()
         except BrokenPipeError as exc:
-            raise SolverProtocolError("solver closed its input") from exc
+            raise _solver_error(self.proc, "solver closed its input") from exc
 
     def _read_until(self, wanted=lambda node: True):
         """Read stdout until a complete S-expression for which
@@ -356,11 +361,11 @@ class SmtProcess:
                 error = TimeoutError("solver response timeout")
             elif not select.select([stream], [], [], min(remaining, 0.5))[0]:
                 if self.proc.poll() is not None:
-                    error = SolverProtocolError("solver exited mid-response")
+                    error = _solver_error(self.proc, "solver exited mid-response")
             else:
                 data = stream.read1(65536)
                 if not data:
-                    error = SolverProtocolError("solver closed its output")
+                    error = _solver_error(self.proc, "solver closed its output")
                 chunks.append(decoder.decode(data))
                 reader.feed(chunks[-1])
                 try:
@@ -414,11 +419,10 @@ class SmtProcess:
 
     def close(self, grace: float = 2.0) -> None:
         """Close the solver's input and give it `grace` seconds to exit
-        before killing it.  Closing twice is harmless."""
+        before reaping it.  Closing twice is harmless."""
         try:
             self.proc.stdin.close()
             self.proc.wait(timeout=grace)
         except (OSError, subprocess.TimeoutExpired):
-            self.proc.kill()
-            self.proc.wait()
-        self.proc.stdout.close()
+            pass
+        reap(self.proc)

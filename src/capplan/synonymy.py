@@ -61,10 +61,12 @@ class SynonymyIndex:
     class_of: dict
     syn_props: dict
     effects: dict
-    # (class id, kind) -> provided capability ids, sorted; see
-    # affecting_capabilities.
+    # (class id, kind) -> the provided capabilities, sorted, with an effect
+    # of that kind ('positive', 'negative' or 'numeric') on any member of
+    # the class.
     affecting: dict
-    # Unordered provided-capability pairs, sorted; see mutex_pairs.
+    # Unordered provided-capability pairs, sorted, whose input/output
+    # property sets, mapped to classes, intersect.
     mutexes: tuple
 
     def class_id(self, property_id: str) -> str:
@@ -196,14 +198,3 @@ def _mutexes(model: CapabilityModel, class_of: dict) -> tuple:
         if touched[i] & touched[j]
     )
 
-
-def affecting_capabilities(index: SynonymyIndex, class_id: str, kind: str) -> tuple:
-    """Provided capabilities with an effect of the given kind ('positive',
-    'negative' or 'numeric') on any member of the class."""
-    return index.affecting[class_id, kind]
-
-
-def mutex_pairs(model: CapabilityModel, index: SynonymyIndex) -> tuple:
-    """Unordered provided-capability pairs whose input/output property sets,
-    mapped to classes, intersect.  `index` must be build_index(model)."""
-    return index.mutexes

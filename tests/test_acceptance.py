@@ -19,7 +19,7 @@ from capplan.model import validate
 from capplan.oracle import brute_force_plan, simulate
 from capplan.planner import NoPlanFound, Plan, PlannerConfig, explain, plan
 from capplan.smtlib import SolverConfig, emit
-from capplan.synonymy import affecting_capabilities, build_index, mutex_pairs
+from capplan.synonymy import build_index
 
 SUITE_SIZE = 110
 SUITE_MAX_BOUND = 2  # up to three happenings
@@ -137,7 +137,7 @@ def test_criterion_4_frame_axioms_hold_on_random_suite(suite):
         sat_models += 1
         verdict = simulate(model, index, outcome)
         assert verdict.ok, f"seed {seed}: {verdict.violations}"
-        mutexes = set(mutex_pairs(model, index))
+        mutexes = set(index.mutexes)
         for t, happening in enumerate(outcome.happenings):
             applied = set(happening.applied)
             for first in sorted(applied):
@@ -153,10 +153,10 @@ def test_criterion_4_frame_axioms_hold_on_random_suite(suite):
                     continue
                 checked += 1
                 if cls.datatype.value == "Real":
-                    movers = affecting_capabilities(index, cls.class_id, "numeric")
+                    movers = index.affecting[cls.class_id, "numeric"]
                 else:
                     kind = "positive" if after else "negative"
-                    movers = affecting_capabilities(index, cls.class_id, kind)
+                    movers = index.affecting[cls.class_id, kind]
                 assert set(movers) & applied, (
                     f"seed {seed}: class {cls.class_id} changed at happening {t} "
                     f"with no affecting capability"

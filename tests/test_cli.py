@@ -116,6 +116,20 @@ def test_garbled_solver_answer_exits_3(docs, capsys, tmp_path):
     assert "unterminated quoted symbol" in err
 
 
+def test_a_solver_that_dies_under_minimize_core_is_quoted(docs, capsys):
+    # The solver writes a line to stderr and exits 1 before it answers;
+    # the session every bound of a minimizing run is checked in quotes it.
+    dying = "import sys; sys.stderr.write('solver-side failure 42\\n'); sys.exit(1)"
+    solver = f"{shlex.quote(sys.executable)} -c {shlex.quote(dying)}"
+    code, _, err = run(
+        ["plan", "--model", docs["single"], "--max-happenings", "1",
+         "--minimize-core", "--solver-cmd", solver],
+        capsys,
+    )
+    assert code == 3
+    assert "solver-side failure 42" in err
+
+
 def test_dump_smt_deterministic(docs, capsys):
     argv = ["dump-smt", "--domain", docs["domain"], "--problem", docs["problem"],
             "--bound", "1"]

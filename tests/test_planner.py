@@ -1,3 +1,4 @@
+import os
 import signal
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from capplan.errors import (
     CoresUnavailable,
     IncompleteModel,
     InvalidModel,
+    SolverLaunchError,
     SolverProtocolError,
 )
 from capplan.model import load_model, parse_model
@@ -337,6 +339,19 @@ def test_unfinished_answers_are_errors_oneshot_and_timeouts_incremental(fault):
     assert [(o.status, o.reason) for o in result.outcomes] == [("unknown", "timeout")] * 3
 
 
+# A solver that writes a line to stderr and exits 1 before it answers.
+DYING_SOLVER = "import sys; sys.stderr.write('solver-side failure 42\\n'); sys.exit(1)"
+
+
+@pytest.mark.parametrize("mode", ({}, {"incremental": True}, {"minimize": True}),
+                         ids=("oneshot", "incremental", "minimize"))
+def test_a_solver_that_dies_is_quoted_from_its_stderr(mode):
+    config = _config(solver=SolverConfig(command=[sys.executable, "-c", DYING_SOLVER]),
+                     **mode)
+    with pytest.raises(SolverProtocolError, match="solver-side failure 42"):
+        plan(fixtures.transport_model(), 2, config)
+
+
 def test_division_by_zero_gives_the_same_outcomes_in_both_modes():
     # The reference solver rejects the constraint with an (error ...) line
     # and answers unknown, which neither mode may take for a crash.
@@ -582,6 +597,14 @@ def test_a_solver_that_answers_after_eof_gives_the_same_outcomes():
             assert result.last_core == expected.last_core
 
 
+def _not_a_program(directory):
+    """An executable file the system cannot run (exec format error)."""
+    path = directory / "not_a_program"
+    path.write_bytes(b"\x7fELF, but not a program")
+    path.chmod(0o755)
+    return str(path)
+
+
 # Each case: the solver command, given a scratch directory; the model; the
 # maximum bound; what plan() returns or raises; and how many solver
 # processes it starts, with and without --minimize-core.
@@ -609,27 +632,24 @@ ORPHAN_CASES = {
     "garbage-status-below-max": (lambda tmp: [sys.executable, "-c", EXITING_SOLVER.format(
         answers={"(check-sat)": "flubber\n"})], fixtures.inert_goal_model, 1,
         SolverProtocolError, (1, 2)),
+    "launch-error": (lambda tmp: ["/nonexistent/solver"], fixtures.transport_model, 1,
+                     SolverLaunchError, (0, 0)),
+    "not-a-program": (lambda tmp: [_not_a_program(tmp)], fixtures.transport_model, 1,
+                      SolverLaunchError, (0, 0)),
 }
 UNUSED_AHEAD = ("plan-below-max", "garbage-status-below-max")
 
-
 # The minimizing run of each case keeps the case's name; a run without
 # minimization, where it means something, is named "<case>-no-minimize".
-@pytest.mark.parametrize("case, minimize", [
+ORPHAN_RUNS = [
     pytest.param(case, minimize, id=case if minimize else f"{case}-no-minimize")
     for case, (*_, starts) in ORPHAN_CASES.items()
-    for minimize, count in zip((True, False), starts) if count is not None])
-def test_no_solver_process_outlives_a_minimizing_plan(case, minimize, monkeypatch,
-                                                      tmp_path):
-    command, model, max_happenings, expected, starts = ORPHAN_CASES[case]
-    started = []
+    for minimize, count in zip((True, False), starts) if count is not None]
 
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
 
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
+def _orphan_run(case, minimize, tmp_path):
+    """Run plan() on the case and check what it returns or raises."""
+    command, model, max_happenings, expected, _ = ORPHAN_CASES[case]
     timeout = 0.5 if case == "timeout" else 60.0
     config = _config(minimize=minimize, solver=SolverConfig(
         command=command(tmp_path), timeout_seconds=timeout))
@@ -638,7 +658,32 @@ def test_no_solver_process_outlives_a_minimizing_plan(case, minimize, monkeypatc
             plan(model(), max_happenings, config)
     else:
         assert isinstance(plan(model(), max_happenings, config), expected)
+
+
+@pytest.mark.parametrize("case, minimize", ORPHAN_RUNS)
+def test_no_solver_process_outlives_a_minimizing_plan(case, minimize, monkeypatch,
+                                                      tmp_path):
+    starts = ORPHAN_CASES[case][-1]
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    _orphan_run(case, minimize, tmp_path)
     assert len(started) == starts[0 if minimize else 1]
     assert all(process.poll() is not None for process in started)
     if case in UNUSED_AHEAD and not minimize:
         assert started[-1].returncode == -signal.SIGKILL
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("case, minimize", ORPHAN_RUNS)
+def test_no_file_descriptor_outlives_a_plan(case, minimize, tmp_path):
+    # Every solver process has its stdin, its stdout and its stderr file
+    # closed by the time plan() returns or raises, on every path.
+    before = sorted(os.listdir("/proc/self/fd"))
+    _orphan_run(case, minimize, tmp_path)
+    assert sorted(os.listdir("/proc/self/fd")) == before

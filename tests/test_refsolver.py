@@ -155,7 +155,7 @@ def test_rational_values_round_trip():
     out = run_inprocess(
         "(declare-const x Real)(assert (= x (- 2.5)))(check-sat)(get-model)"
     )
-    assert "(define-fun x () Real (- 2.5))" in out
+    assert "(define-fun x () Real (- (/ 5 2)))" in out
 
 
 def test_unconstrained_variables_get_defaults():

@@ -557,12 +557,12 @@ def test_an_unknown_last_bound_leaves_minimization_in_its_process(tmp_path, monk
     assert int(counter.read_text()) == 3 + len(core)
 
 
-def test_incremental_minimization_goes_on_in_a_fresh_session(
+def test_incremental_minimization_is_the_minimizing_session(
         no_plan_models, no_plan_cores, tmp_path, monkeypatch):
-    # The incremental session is closed before minimization starts its
-    # own, whose trials assert nothing outside (push 1): the bounds'
-    # stable assertions do not join them, so the cores are one-shot
-    # minimization's.
+    # With --incremental too, a minimizing run checks every bound with the
+    # whole encoding pushed, so nothing is asserted outside (push 1) and
+    # the trials go on in the same session: the outcomes are a
+    # minimize-only run's, and the cores one-shot minimization's.
     cases = [(label, model, bound, minimal)
              for (label, model, bound), (*_, minimal) in zip(no_plan_models, no_plan_cores)
              if label == "inert goal"
@@ -572,21 +572,23 @@ def test_incremental_minimization_goes_on_in_a_fresh_session(
     original = SmtProcess.__init__
 
     def recorded(self, config):
-        assert all(session.closed for session in sessions)
         sessions.append(self)
         original(self, config)
 
     monkeypatch.setattr(SmtProcess, "__init__", recorded)
     for i, (label, model, bound, minimal) in enumerate(cases):
+        expected = plan(model, bound, PlannerConfig(solver=_config(), minimize=True))
         sessions.clear()
         transcript = tmp_path / f"{i}.smt2"
         config = PlannerConfig(solver=_config(transcript=transcript),
                                incremental=True, minimize=True)
-        assert plan(model, bound, config).last_core == minimal, label
-        assert len(sessions) == 2, label
-        _, trials = _sessions(transcript.read_text())
+        result = plan(model, bound, config)
+        assert result.last_core == minimal, label
+        assert result.outcomes == expected.outcomes, label
+        assert len(sessions) == 1, label
+        [session] = _sessions(transcript.read_text())
         depth = 0
-        for line in trials.splitlines():
+        for line in session.splitlines():
             depth += (line == "(push 1)") - (line == "(pop 1)")
             assert depth == 1 or not line.startswith("(assert "), label
 

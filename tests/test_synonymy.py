@@ -1,6 +1,6 @@
 import fixtures
 from capplan.model import parse_model
-from capplan.synonymy import build_index, effect_sets, mutex_pairs
+from capplan.synonymy import build_index, effect_sets
 
 
 def test_information_and_products_do_not_mix():
@@ -174,9 +174,9 @@ def test_effect_set_inclusions_hold_everywhere():
 def test_mutex_pairs():
     model = fixtures.drive_transport_model()
     index = build_index(model)
-    assert mutex_pairs(model, index) == (("DriveTo", "Transport"),)
+    assert index.mutexes == (("DriveTo", "Transport"),)
     single = fixtures.transport_model()
-    assert mutex_pairs(single, build_index(single)) == ()
+    assert build_index(single).mutexes == ()
 
 
 def test_disjoint_capabilities_have_no_mutex():
@@ -200,4 +200,4 @@ def test_disjoint_capabilities_have_no_mutex():
         ],
     }
     model = parse_model(doc)
-    assert mutex_pairs(model, build_index(model)) == ()
+    assert build_index(model).mutexes == ()
