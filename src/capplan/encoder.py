@@ -269,8 +269,7 @@ class _Builder:
                     "init", prop.id, 0, "init", prop.id,
                 )
         for i, constraint in enumerate(required.constraints):
-            refs = ex.references(constraint)
-            if refs & required_outputs:
+            if required.is_effect(constraint):
                 continue
             term = self.translate_constraint(constraint, required, 0, 0, 0, 0)
             self.emit(term, "init", required.id, 0,
@@ -286,8 +285,7 @@ class _Builder:
                     "goal", prop.id, n, "goal", prop.id, retractable=True,
                 )
         for i, constraint in enumerate(required.constraints):
-            refs = ex.references(constraint)
-            if not refs & required_outputs:
+            if not required.is_effect(constraint):
                 continue
             term = self.translate_constraint(constraint, required, 0, 0, n, 1)
             self.emit(term, "goal", required.id, n,
@@ -501,10 +499,7 @@ def build(model: CapabilityModel, index: SynonymyIndex, bound: int,
     unbound_inputs = {}
     for cap in model.provided:
         entries = tuple(
-            (pid, builder.state_of(pid))
-            for pid in sorted(cap.input_property_ids())
-            if not model.properties[pid].requirements()
-            and not model.properties[pid].actual_values()
+            (pid, builder.state_of(pid)) for pid in model.parameter_ids(cap)
         )
         if entries:
             unbound_inputs[cap.id] = entries

@@ -126,6 +126,14 @@ class Capability:
     def attached_property_ids(self) -> frozenset:
         return self.input_property_ids() | self.output_property_ids()
 
+    def is_effect(self, constraint) -> bool:
+        """Whether a constraint of this capability references one of its
+        outputs.  An effect relates the values before the capability
+        applies to those after it (for the required capability: the
+        initial state to the goal); any other constraint is a
+        precondition on the values before."""
+        return not self.output_property_ids().isdisjoint(ex.references(constraint))
+
 
 @dataclass(frozen=True, slots=True)
 class CapabilityModel:
@@ -154,6 +162,15 @@ class CapabilityModel:
             if cap.id == capability_id:
                 return cap
         raise KeyError(capability_id)
+
+    def parameter_ids(self, capability: Capability) -> tuple:
+        """The capability's input properties, sorted, that no requirement
+        and no actual value fixes: the plan chooses their values."""
+        return tuple(
+            pid for pid in sorted(capability.input_property_ids())
+            if not self.properties[pid].requirements()
+            and not self.properties[pid].actual_values()
+        )
 
 
 @dataclass(frozen=True, slots=True)

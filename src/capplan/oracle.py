@@ -1,9 +1,17 @@
 """Solver-free semantics: replay plans against the model and brute-force
 minimal plans on small instances.
 
-This module shares the synonymy index with the encoder but nothing else,
-so it can serve as independent ground truth for the SMT pipeline.  State
-is the class-collapsed valuation: one value per synonymy class.
+This module reads the model and the synonymy index, as the encoder does,
+but imports nothing from the encoder, so it can serve as independent
+ground truth for the SMT pipeline.  State is the class-collapsed
+valuation: one value per synonymy class.
+
+Replay and search share one set of checks.  `_checks` states each rule
+once: the initial conditions, every provided capability's preconditions
+and effects, and the goal.  `simulate` reports every check that fails as
+a Violation.  The search proposes initial states and successors its own
+way (`_initial_states`, `_moves`) and keeps only those that pass the
+checks.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from .model import Capability, CapabilityModel, Datatype
 from .synonymy import SynonymyIndex
 
 _SEARCH_BUDGET = 200_000
+_PRE, _EFF = "PreconditionFailed", "EffectViolation"
 
 
 def _holds(expression, valuation) -> bool:
@@ -43,47 +52,30 @@ class Verdict:
     violations: tuple = ()
 
 
+def _constants(model: CapabilityModel, ops=None) -> set:
+    """The numbers that are arguments of an operator (any, or one of `ops`)
+    in a capability constraint."""
+    found = set()
+    stack = [c for cap in model.capabilities() for c in cap.constraints]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ex.Apply):
+            stack.extend(node.args)
+            if ops is None or node.op in ops:
+                found |= {arg.value for arg in node.args if isinstance(arg, ex.Const)
+                          and not isinstance(arg.value, bool)}
+    return found
+
+
 def model_constants(model: CapabilityModel) -> tuple:
     """All real constants appearing anywhere in the model; the default
     candidate domain for unbound parameters."""
-    values = set()
-    for prop in model.all_properties():
-        for desc in prop.instance_descriptions:
-            if desc.value is not None and not isinstance(desc.value, bool):
-                values.add(desc.value)
-
-    def collect(node):
-        if isinstance(node, ex.Const) and not isinstance(node.value, bool):
-            values.add(node.value)
-        elif isinstance(node, ex.Apply):
-            for arg in node.args:
-                collect(arg)
-
-    for cap in model.capabilities():
-        for constraint in cap.constraints:
-            collect(constraint)
-    if not values:
-        values.add(Fraction(0))
-    return tuple(sorted(values))
-
-
-def _arithmetic_offsets(model: CapabilityModel) -> tuple:
-    """Constants used as additive offsets inside capability constraints."""
-    offsets = set()
-
-    def collect(node):
-        if isinstance(node, ex.Apply):
-            if node.op in ("plus", "minus"):
-                for arg in node.args:
-                    if isinstance(arg, ex.Const) and not isinstance(arg.value, bool):
-                        offsets.add(arg.value)
-            for arg in node.args:
-                collect(arg)
-
-    for cap in model.capabilities():
-        for constraint in cap.constraints:
-            collect(constraint)
-    return tuple(sorted(offsets))
+    values = _constants(model) | {
+        desc.value for prop in model.all_properties()
+        for desc in prop.instance_descriptions
+        if desc.value is not None and not isinstance(desc.value, bool)
+    }
+    return tuple(sorted(values or {Fraction(0)}))
 
 
 def default_value_domain(model: CapabilityModel, max_happenings: int) -> tuple:
@@ -95,7 +87,7 @@ def default_value_domain(model: CapabilityModel, max_happenings: int) -> tuple:
     offsets in either direction.
     """
     values = set(model_constants(model))
-    offsets = _arithmetic_offsets(model)
+    offsets = _constants(model, ("plus", "minus"))
     frontier = set(values)
     for _ in range(max_happenings):
         frontier = {
@@ -107,125 +99,170 @@ def default_value_domain(model: CapabilityModel, max_happenings: int) -> tuple:
     return tuple(sorted(values))
 
 
-def _class_valuation(index: SynonymyIndex, state: dict) -> dict:
-    """Expand a per-class state into a per-property valuation for evaluate."""
-    out = {}
-    for cls in index.classes:
-        value = state[cls.class_id]
-        for member in cls.member_ids:
-            out[member] = value
-    return out
+# -- the checks ----------------------------------------------------------------
+
+# A check is (kind, element, message, term, places).  `places` names each
+# reference of `term` as (name, class id, late): the reference reads the
+# class's value after the step when `late` is set, before it otherwise.
+# Kinds travel with the checks because a capability's constraints are
+# preconditions or effects one by one, and the replay reports them in
+# constraint order.
+
+# A valueless assurance: the class keeps its value.
+_UNCHANGED = ex.apply_op("eq", ex.ref("after"), ex.ref("before"))
 
 
-def _mixed_valuation(index, cap: Capability, layer0: dict, layer1: dict) -> dict:
-    """Outputs read from layer 1, everything else from layer 0."""
-    outputs = cap.output_property_ids()
-    out = {}
-    for cls in index.classes:
-        for member in cls.member_ids:
-            layer = layer1 if member in outputs else layer0
-            out[member] = layer[cls.class_id]
-    return out
+def _places(term, index, outputs=frozenset()) -> tuple:
+    return tuple(
+        (pid, index.class_id(pid), pid in outputs) for pid in ex.references(term)
+    )
 
 
-def _check_relation(relation, actual, expected) -> bool:
-    term = ex.apply_op(relation.value, ex.ref("x"), ex.const(expected))
-    return bool(ex.evaluate(term, {"x": actual}))
+def _valuation(places, before, after=None) -> dict:
+    """The values a term's references read from two class states."""
+    return {name: (after if late else before)[cid] for name, cid, late in places}
+
+
+def _failures(checks, before, after=None):
+    """Every check that does not hold, as (kind, element, message)."""
+    for kind, element, message, term, places in checks:
+        if not _holds(term, _valuation(places, before, after)):
+            yield kind, element, message
+
+
+def _passes(checks, before, after=None) -> bool:
+    return next(_failures(checks, before, after), None) is None
+
+
+def _mutex_pairs(applied, mutexes) -> list:
+    """The pairs of applied capabilities that exclude each other."""
+    return [
+        (first, second) for first, second in itertools.combinations(applied, 2)
+        if (first, second) in mutexes or (second, first) in mutexes
+    ]
+
+
+@dataclass(frozen=True)
+class _Checks:
+    """The rules of one model, built once per simulate or search call."""
+
+    init: tuple  # on the initial layer 0
+    # Provided capability id -> its preconditions (on layer 0) and effects
+    # (on layers 0 and 1), in replay order.
+    steps: dict
+    goal: tuple  # on the initial layer 0 and the final layer 1
+    mutexes: frozenset
+
+
+def _checks(model: CapabilityModel, index: SynonymyIndex) -> _Checks:
+    def value(kind, element, message, pid, late, desc):
+        """The check that pid's value stands in desc's relation to its value."""
+        term = ex.apply_op(desc.relation.value, ex.ref(pid), ex.const(desc.value))
+        return kind, element, message, term, ((pid, index.class_id(pid), late),)
+
+    def requirements(pid):
+        return [d for d in model.properties[pid].requirements() if d.value is not None]
+
+    # The initial conditions: actual values, then the required capability's
+    # input requirements and its constraints that are no effects.  The
+    # goal: its output requirements, then its effect constraints.
+    required = model.required
+    init = [
+        value("InitMismatch", prop.id,
+              f"actual value {ex.value_to_text(desc.value)} does not hold",
+              prop.id, False, desc)
+        for prop in model.all_properties()
+        for desc in prop.actual_values() if desc.value is not None
+    ]
+    init += [
+        value("InitMismatch", pid, "required initial condition fails", pid, False, desc)
+        for pid in sorted(required.input_property_ids()) for desc in requirements(pid)
+    ]
+    goal = [
+        value("GoalFailed", pid, "goal requirement fails", pid, True, desc)
+        for pid in sorted(required.output_property_ids()) for desc in requirements(pid)
+    ]
+    outputs = required.output_property_ids()
+    for i, term in enumerate(required.constraints):
+        kind, side = ("GoalFailed", goal) if required.is_effect(term) else (
+            "InitMismatch", init)
+        side.append((kind, required.id, f"required constraint {i} fails", term,
+                     _places(term, index, outputs)))
+
+    # A provided capability: input requirements and preconditions on
+    # layer 0, effect constraints, then assurances on layer 1.
+    steps = {}
+    for cap in model.provided:
+        outputs = cap.output_property_ids()
+        checks = [
+            value(_PRE, cap.id, f"requirement on {pid} fails", pid, False, desc)
+            for pid in sorted(cap.input_property_ids()) for desc in requirements(pid)
+        ]
+        checks += [
+            (_EFF if cap.is_effect(term) else _PRE, cap.id, f"constraint {i} fails",
+             term, _places(term, index, outputs))
+            for i, term in enumerate(cap.constraints)
+        ]
+        for pid in sorted(outputs):
+            cid = index.class_id(pid)
+            for desc in model.properties[pid].assurances():
+                if desc.value is None:
+                    checks.append((_EFF, cap.id, f"{pid} must remain unchanged",
+                                   _UNCHANGED, (("after", cid, True),
+                                                ("before", cid, False))))
+                else:
+                    checks.append(value(_EFF, cap.id, f"assurance on {pid} fails",
+                                        pid, True, desc))
+        steps[cap.id] = tuple(checks)
+    return _Checks(tuple(init), steps, tuple(goal), frozenset(index.mutexes))
 
 
 def simulate(model: CapabilityModel, index: SynonymyIndex, plan) -> Verdict:
     """Replay a plan: preconditions, effects, mutexes, frame conditions,
-    continuation and goal.  Violations are data, not exceptions."""
+    continuation and goal.  Violations are data, not exceptions: a plan
+    whose layers miss a class or give one a value of the wrong type gets
+    only its Structure violations."""
     violations = []
 
     def flag(kind, happening, element, message):
         violations.append(Violation(kind, happening, element, message))
+
+    def report(failures, happening):
+        for kind, element, message in failures:
+            flag(kind, happening, element, message)
 
     happenings = list(plan.happenings)
     if not happenings:
         return Verdict(ok=False, violations=(Violation(
             "Structure", 0, "plan", "a plan needs at least one happening"),))
 
-    class_ids = [cls.class_id for cls in index.classes]
     for t, happening in enumerate(happenings):
         for layer_name in ("layer0", "layer1"):
             layer = getattr(happening, layer_name)
-            for cid in class_ids:
+            for cls in index.classes:
+                cid = cls.class_id
                 if cid not in layer:
                     flag("Structure", t, cid, f"{layer_name} misses class {cid}")
+                elif isinstance(layer[cid], bool) != (cls.datatype is Datatype.BOOLEAN):
+                    flag("Structure", t, cid,
+                         f"{layer_name} value of {cid} is not {cls.datatype.value}")
     if violations:
         return Verdict(ok=False, violations=tuple(violations))
 
-    provided = {cap.id: cap for cap in model.provided}
-    required = model.required
-
-    # Initial conditions at (0,0): actual values plus the required
-    # capability's input requirements.
-    layer0 = happenings[0].layer0
-    init_val = _class_valuation(index, layer0)
-    for prop in model.all_properties():
-        for desc in prop.actual_values():
-            if desc.value is None:
-                continue
-            if not _check_relation(desc.relation, init_val[prop.id], desc.value):
-                flag("InitMismatch", 0, prop.id,
-                     f"actual value {ex.value_to_text(desc.value)} does not hold")
-    for pid in sorted(required.input_property_ids()):
-        for desc in model.properties[pid].requirements():
-            if desc.value is None:
-                continue
-            if not _check_relation(desc.relation, init_val[pid], desc.value):
-                flag("InitMismatch", 0, pid, "required initial condition fails")
-    for i, constraint in enumerate(required.constraints):
-        if ex.references(constraint) & required.output_property_ids():
-            continue
-        if not _holds(constraint, init_val):
-            flag("InitMismatch", 0, required.id, f"required constraint {i} fails")
-
-    mutexes = set(index.mutexes)
+    checks = _checks(model, index)
+    report(_failures(checks.init, happenings[0].layer0), 0)
     for t, happening in enumerate(happenings):
         applied = sorted(set(happening.applied))
-        layer0_val = _class_valuation(index, happening.layer0)
         for cap_id in applied:
-            if cap_id not in provided:
+            if cap_id not in checks.steps:
                 flag("Structure", t, cap_id, "not a provided capability")
-        applied = [c for c in applied if c in provided]
-
-        for first, second in itertools.combinations(applied, 2):
-            if (first, second) in mutexes or (second, first) in mutexes:
-                flag("MutexViolation", t, f"{first},{second}",
-                     "mutex capabilities applied together")
-
+        applied = [c for c in applied if c in checks.steps]
+        for first, second in _mutex_pairs(applied, checks.mutexes):
+            flag("MutexViolation", t, f"{first},{second}",
+                 "mutex capabilities applied together")
         for cap_id in applied:
-            cap = provided[cap_id]
-            for pid in sorted(cap.input_property_ids()):
-                for desc in model.properties[pid].requirements():
-                    if desc.value is None:
-                        continue
-                    if not _check_relation(desc.relation, layer0_val[pid], desc.value):
-                        flag("PreconditionFailed", t, cap_id,
-                             f"requirement on {pid} fails")
-            mixed = _mixed_valuation(index, cap, happening.layer0, happening.layer1)
-            for i, constraint in enumerate(cap.constraints):
-                refs = ex.references(constraint)
-                touches_output = bool(refs & cap.output_property_ids())
-                valuation = mixed if touches_output else layer0_val
-                if not _holds(constraint, valuation):
-                    kind = "EffectViolation" if touches_output else "PreconditionFailed"
-                    flag(kind, t, cap_id, f"constraint {i} fails")
-            for pid in sorted(cap.output_property_ids()):
-                prop = model.properties[pid]
-                cid = index.class_id(pid)
-                for desc in prop.assurances():
-                    if desc.value is None:
-                        if happening.layer1[cid] != happening.layer0[cid]:
-                            flag("EffectViolation", t, cap_id,
-                                 f"{pid} must remain unchanged")
-                    elif not _check_relation(
-                        desc.relation, happening.layer1[cid], desc.value
-                    ):
-                        flag("EffectViolation", t, cap_id,
-                             f"assurance on {pid} fails")
+            report(_failures(checks.steps[cap_id], happening.layer0,
+                             happening.layer1), t)
 
         # Frame: a class may only change when an applied capability has the
         # matching signed (boolean) or numeric (real) effect on it.
@@ -251,34 +288,24 @@ def simulate(model: CapabilityModel, index: SynonymyIndex, plan) -> Verdict:
                     flag("ContinuationViolation", t, cls.class_id,
                          "layer 0 does not continue the previous layer 1")
 
-    final = happenings[-1]
-    final_val = _class_valuation(index, final.layer1)
-    for pid in sorted(required.output_property_ids()):
-        for desc in model.properties[pid].requirements():
-            if desc.value is None:
-                continue
-            if not _check_relation(desc.relation, final_val[pid], desc.value):
-                flag("GoalFailed", len(happenings) - 1, pid, "goal requirement fails")
-    for i, constraint in enumerate(required.constraints):
-        if not ex.references(constraint) & required.output_property_ids():
-            continue
-        valuation = _mixed_valuation(index, required, happenings[0].layer0, final.layer1)
-        if not _holds(constraint, valuation):
-            flag("GoalFailed", len(happenings) - 1, required.id,
-                 f"required constraint {i} fails")
-
+    report(_failures(checks.goal, happenings[0].layer0, happenings[-1].layer1),
+           len(happenings) - 1)
     return Verdict(ok=not violations, violations=tuple(violations))
 
 
 # -- brute-force search --------------------------------------------------------
 
 
-def _initial_states(model, index, domain):
-    """Enumerate candidate initial class states consistent with the actual
-    values and the required capability's initial conditions."""
-    required = model.required
+def _pool(datatype: Datatype, reals: tuple) -> tuple:
+    """The values the search tries for a class."""
+    return (True, False) if datatype is Datatype.BOOLEAN else reals
+
+
+def _initial_states(model, index, domain, init):
+    """Enumerate candidate initial class states: the actual values and the
+    required capability's `eq` initial conditions pin classes, the other
+    classes range over the domain, and every state passes `init`."""
     pinned: dict = {}
-    tests: list = []
 
     def pin(cid, value):
         if cid in pinned and pinned[cid] != value:
@@ -291,25 +318,15 @@ def _initial_states(model, index, domain):
         for desc in prop.actual_values():
             if desc.value is not None:
                 consistent &= pin(index.class_id(prop.id), desc.value)
-    for pid in required.input_property_ids():
+    for pid in model.required.input_property_ids():
         for desc in model.properties[pid].requirements():
-            if desc.value is None:
-                continue
-            if desc.relation.value == "eq":
+            if desc.value is not None and desc.relation.value == "eq":
                 consistent &= pin(index.class_id(pid), desc.value)
-            else:
-                tests.append((pid, desc))
     if not consistent:
         return
-    constraints = [
-        c for c in required.constraints
-        if not ex.references(c) & required.output_property_ids()
-    ]
 
     free = [cls for cls in index.classes if cls.class_id not in pinned]
-    pools = []
-    for cls in free:
-        pools.append((True, False) if cls.datatype is Datatype.BOOLEAN else domain)
+    pools = [_pool(cls.datatype, domain) for cls in free]
     total = 1
     for pool in pools:
         total *= len(pool)
@@ -317,163 +334,83 @@ def _initial_states(model, index, domain):
             raise DomainTooLarge("too many candidate initial states")
     for combo in itertools.product(*pools):
         state = dict(pinned)
-        for cls, value in zip(free, combo):
-            state[cls.class_id] = value
-        valuation = _class_valuation(index, state)
-        if any(
-            desc.value is not None
-            and not _check_relation(desc.relation, valuation[pid], desc.value)
-            for pid, desc in tests
-        ):
-            continue
-        if any(not _holds(c, valuation) for c in constraints):
-            continue
-        yield state
+        state.update(zip((cls.class_id for cls in free), combo))
+        if _passes(init, state):
+            yield state
 
 
-def _functional_updates(cap: Capability):
-    """Output constraints solvable by direct evaluation: eq(out, f(inputs))."""
+def _assignment(constraint, outputs):
+    """(output, formula) when the constraint is eq(output, formula), either
+    way round, and the formula reads no output; else None."""
+    if isinstance(constraint, ex.Apply) and constraint.op == "eq":
+        left, right = constraint.args
+        for target, formula in ((left, right), (right, left)):
+            if isinstance(target, ex.Ref) and target.property_id in outputs and not (
+                ex.references(formula) & outputs
+            ):
+                return target.property_id, formula
+    return None
+
+
+def _moves(model, index, cap: Capability) -> tuple:
+    """How the search builds a capability's layer 1: the classes it sets,
+    in order, as (class id, value, update), and the classes it leaves open
+    to enumeration.  A valueless assurance keeps the layer-0 value (value
+    None), an `eq` assurance sets its value, and an effect constraint that
+    is an assignment sets its formula's value on layer 0 (update).  Other
+    assurances leave their class open, as does every Real output of any
+    other effect constraint."""
     outputs = cap.output_property_ids()
-    updates = []
-    rest = []
-    for constraint in cap.constraints:
-        refs = ex.references(constraint)
-        if not refs & outputs:
+    fixed, opened = [], set()
+    for pid in sorted(outputs):
+        cid = index.class_id(pid)
+        for desc in model.properties[pid].assurances():
+            if desc.value is None or desc.relation.value == "eq":
+                fixed.append((cid, desc.value, None))
+            else:
+                opened.add(cid)
+    numeric = index.effects[cap.id].numeric
+    for term in cap.constraints:
+        if not cap.is_effect(term):
             continue
-        sides = None
-        if isinstance(constraint, ex.Apply) and constraint.op == "eq":
-            left, right = constraint.args
-            if isinstance(left, ex.Ref) and left.property_id in outputs and not (
-                ex.references(right) & outputs
-            ):
-                sides = (left.property_id, right)
-            elif isinstance(right, ex.Ref) and right.property_id in outputs and not (
-                ex.references(left) & outputs
-            ):
-                sides = (right.property_id, left)
-        if sides is not None:
-            updates.append(sides)
+        assignment = _assignment(term, outputs)
+        if assignment is None:
+            opened |= {index.class_id(pid) for pid in ex.references(term) & numeric}
         else:
-            rest.append(constraint)
-    return updates, rest
+            pid, formula = assignment
+            update = (formula, _places(formula, index))
+            fixed.append((index.class_id(pid), None, update))
+    return tuple(fixed), opened
 
 
-def _apply_step(model, index, state, applied, domain):
-    """Yield every layer-1 valuation the applied set can produce from state."""
-    layer0_val = _class_valuation(index, state)
+def _successors(index, moves, effects, state, applied, domain):
+    """Yield every layer 1 the applied set can produce from state."""
     base = dict(state)
     determined: set = set()
-    undetermined: set = set()
-
+    opened: set = set()
     for cap_id in applied:
-        cap = model.capability(cap_id)
-        effects = index.effects[cap_id]
-        for pid in sorted(cap.output_property_ids()):
-            prop = model.properties[pid]
-            cid = index.class_id(pid)
-            for desc in prop.assurances():
-                if desc.value is None:
-                    base[cid] = state[cid]
-                    determined.add(cid)
-                elif desc.relation.value == "eq":
-                    base[cid] = desc.value
-                    determined.add(cid)
-                else:
-                    undetermined.add(cid)
-        updates, rest = _functional_updates(cap)
-        for pid, formula in updates:
-            cid = index.class_id(pid)
-            try:
-                base[cid] = ex.evaluate(formula, layer0_val)
-            except DivisionByZero:
-                return  # this application has no well-defined successor
+        fixed, more = moves[cap_id]
+        for cid, value, update in fixed:
+            if update is not None:
+                try:
+                    value = ex.evaluate(update[0], _valuation(update[1], state))
+                except DivisionByZero:
+                    return  # this application has no well-defined successor
+            elif value is None:
+                value = state[cid]
+            base[cid] = value
             determined.add(cid)
-        for constraint in rest:
-            for pid in ex.references(constraint) & effects.numeric:
-                undetermined.add(index.class_id(pid))
+        opened |= more
 
-    free = sorted(undetermined - determined)
-    pools = []
-    for cid in free:
-        cls = index.class_of[cid]
-        if cls.datatype is Datatype.BOOLEAN:
-            pools.append((True, False))
-        else:
-            pools.append(tuple(dict.fromkeys(domain + (state[cid],))))
-    combos = itertools.product(*pools) if free else [()]
-
-    for combo in combos:
+    free = sorted(opened - determined)
+    # An open Real class may also keep its layer-0 value.
+    pools = [_pool(index.class_of[cid].datatype,
+                   tuple(dict.fromkeys(domain + (state[cid],)))) for cid in free]
+    for combo in itertools.product(*pools):
         candidate = dict(base)
-        for cid, value in zip(free, combo):
-            candidate[cid] = value
-        ok = True
-        for cap_id in applied:
-            cap = model.capability(cap_id)
-            mixed = {}
-            outputs = cap.output_property_ids()
-            for cls in index.classes:
-                for member in cls.member_ids:
-                    source = candidate if member in outputs else state
-                    mixed[member] = source[cls.class_id]
-            for constraint in cap.constraints:
-                refs = ex.references(constraint)
-                if not refs & outputs:
-                    continue
-                if not _holds(constraint, mixed):
-                    ok = False
-                    break
-            if not ok:
-                break
-            for pid in sorted(outputs):
-                for desc in model.properties[pid].assurances():
-                    if desc.value is None or desc.relation.value == "eq":
-                        continue
-                    cid = index.class_id(pid)
-                    if not _check_relation(desc.relation, candidate[cid], desc.value):
-                        ok = False
-                        break
-        if ok:
+        candidate.update(zip(free, combo))
+        if all(_passes(effects[cap_id], state, candidate) for cap_id in applied):
             yield candidate
-
-
-def _goal_holds(model, index, initial_state, final_state) -> bool:
-    required = model.required
-    final_val = _class_valuation(index, final_state)
-    for pid in required.output_property_ids():
-        for desc in model.properties[pid].requirements():
-            if desc.value is None:
-                continue
-            if not _check_relation(desc.relation, final_val[pid], desc.value):
-                return False
-    outputs = required.output_property_ids()
-    init_val = _class_valuation(index, initial_state)
-    for constraint in required.constraints:
-        if not ex.references(constraint) & outputs:
-            continue
-        mixed = {
-            pid: final_val[pid] if pid in outputs else init_val[pid]
-            for pid in init_val
-        }
-        if not _holds(constraint, mixed):
-            return False
-    return True
-
-
-def _applicable(model, index, cap: Capability, state) -> bool:
-    valuation = _class_valuation(index, state)
-    for pid in cap.input_property_ids():
-        for desc in model.properties[pid].requirements():
-            if desc.value is None:
-                continue
-            if not _check_relation(desc.relation, valuation[pid], desc.value):
-                return False
-    outputs = cap.output_property_ids()
-    for constraint in cap.constraints:
-        if ex.references(constraint) & outputs:
-            continue
-        if not _holds(constraint, valuation):
-            return False
-    return True
 
 
 def brute_force_plan(model, index, max_happenings: int, value_domain=None):
@@ -491,28 +428,30 @@ def brute_force_plan(model, index, max_happenings: int, value_domain=None):
         domain = tuple(value_domain)
     else:
         domain = default_value_domain(model, max_happenings)
-    mutexes = set(index.mutexes)
-    cap_ids = sorted(cap.id for cap in model.provided)
-
-    subsets = []
-    for r in range(len(cap_ids) + 1):
-        for combo in itertools.combinations(cap_ids, r):
-            if any(
-                (a, b) in mutexes or (b, a) in mutexes
-                for a, b in itertools.combinations(combo, 2)
-            ):
-                continue
-            subsets.append(combo)
+    checks = _checks(model, index)
+    preconditions, effects = (
+        {cap_id: tuple(c for c in steps if c[0] == kind)
+         for cap_id, steps in checks.steps.items()}
+        for kind in (_PRE, _EFF)
+    )
+    moves = {cap.id: _moves(model, index, cap) for cap in model.provided}
+    cap_ids = sorted(checks.steps)
+    subsets = [
+        combo
+        for r in range(len(cap_ids) + 1)
+        for combo in itertools.combinations(cap_ids, r)
+        if not _mutex_pairs(combo, checks.mutexes)
+    ]
 
     def freeze(state):
         return tuple(sorted(state.items()))
 
     explored = 0
     frontier = []
-    # Goal evaluation of mixed required constraints reads the initial
-    # state, so visited states are keyed per initial state.
+    # The goal reads the initial state, so visited states are keyed per
+    # initial state.
     seen = set()
-    for state in _initial_states(model, index, domain):
+    for state in _initial_states(model, index, domain, checks.init):
         key = (freeze(state), freeze(state))
         if key in seen:
             continue
@@ -522,24 +461,22 @@ def brute_force_plan(model, index, max_happenings: int, value_domain=None):
     for depth in range(1, max_happenings + 1):
         next_frontier = []
         for initial, current, trace in frontier:
+            usable = {c for c in cap_ids if _passes(preconditions[c], current)}
             for applied in subsets:
-                if any(
-                    not _applicable(model, index, model.capability(c), current)
-                    for c in applied
-                ):
+                if not usable.issuperset(applied):
                     continue
-                for layer1 in _apply_step(model, index, current, applied, domain):
+                for layer1 in _successors(index, moves, effects, current, applied,
+                                          domain):
                     explored += 1
                     if explored > _SEARCH_BUDGET:
                         raise DomainTooLarge("search budget exceeded")
                     step = (applied, current, layer1)
-                    if _goal_holds(model, index, initial, layer1):
-                        happenings = []
-                        for app, l0, l1 in trace + (step,):
-                            happenings.append(
-                                Happening(applied=tuple(app), layer0=dict(l0),
-                                          layer1=dict(l1))
-                            )
+                    if _passes(checks.goal, initial, layer1):
+                        happenings = [
+                            Happening(applied=tuple(app), layer0=dict(l0),
+                                      layer1=dict(l1))
+                            for app, l0, l1 in trace + (step,)
+                        ]
                         return Plan(
                             happenings=tuple(happenings),
                             bound_happenings=depth,
@@ -556,12 +493,8 @@ def brute_force_plan(model, index, max_happenings: int, value_domain=None):
 
 def _parameters(model, index, happenings) -> dict:
     out: dict = {}
-    for t, happening in enumerate(happenings):
+    for happening in happenings:
         for cap_id in happening.applied:
-            cap = model.capability(cap_id)
-            for pid in sorted(cap.input_property_ids()):
-                prop = model.properties[pid]
-                if prop.requirements() or prop.actual_values():
-                    continue
+            for pid in model.parameter_ids(model.capability(cap_id)):
                 out.setdefault(pid, happening.layer0[index.class_id(pid)])
     return out

@@ -136,9 +136,8 @@ def effect_sets(model: CapabilityModel, cap: Capability) -> EffectSets:
     outputs = cap.output_property_ids()
     touched_by_constraint: set = set()
     for constraint in cap.constraints:
-        refs = ex.references(constraint)
-        if refs & outputs:
-            touched_by_constraint |= refs & outputs
+        if cap.is_effect(constraint):
+            touched_by_constraint |= ex.references(constraint) & outputs
 
     eff: set = set()
     positive: set = set()

@@ -359,6 +359,30 @@ def satisfied_goal_model():
     return transport_model(product_at=10, agv_at=5, goal=10)
 
 
+def lamp_doc() -> dict:
+    """One Boolean class: the lamp is off, SwitchOn turns it on, and the
+    goal is that it is on."""
+    return {
+        "typeDescriptions": [{"id": "td.on", "datatype": "Boolean"}],
+        "products": [
+            {"id": "Lamp", "productTypeId": "L", "properties": [
+                {"id": "lamp.on", "typeDescription": "td.on",
+                 "instanceDescriptions": [
+                     {"expressionGoal": "actualValue", "value": False},
+                     {"expressionGoal": "requirement", "value": True}]},
+                {"id": "lamp.on.after", "typeDescription": "td.on",
+                 "instanceDescriptions": [
+                     {"expressionGoal": "assurance", "value": True}]}]}
+        ],
+        "capabilities": [
+            {"id": "SwitchOn", "kind": "provided", "inputs": [],
+             "outputs": [{"entity": "Lamp", "properties": ["lamp.on.after"]}]},
+            {"id": "req", "kind": "required", "inputs": [],
+             "outputs": [{"entity": "Lamp", "properties": ["lamp.on"]}]},
+        ],
+    }
+
+
 # -- random models -------------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ def docs(tmp_path):
         ("problem", fixtures.transport_problem()),
         ("chain_domain", fixtures.drive_transport_domain()),
         ("single", fixtures.transport_single_doc()),
+        ("lamp", fixtures.lamp_doc()),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -209,6 +210,44 @@ def test_check_reports_violations(docs, capsys, tmp_path):
     assert "PreconditionFailed" in kinds or "InitMismatch" in kinds
 
 
+TRANSPORT_PLAN = {
+    "applied": ["Transport"],
+    "layer0": {"CurrentProductPosition": "5", "TargetPosition": "10",
+               "AGVPosition": "5"},
+    "layer1": {"CurrentProductPosition": "10", "TargetPosition": "10",
+               "AGVPosition": "5"},
+}
+LAMP_PLAN = {
+    "applied": ["SwitchOn"],
+    "layer0": {"lamp.on": False},
+    "layer1": {"lamp.on": True},
+}
+
+
+TRANSPORT = (("--domain", "domain"), ("--problem", "problem"))
+
+
+@pytest.mark.parametrize("model, happening, layer, cid, value, datatype", [
+    (TRANSPORT, TRANSPORT_PLAN, "layer0", "AGVPosition", True, "Real"),
+    (TRANSPORT, TRANSPORT_PLAN, "layer1", "CurrentProductPosition", True, "Real"),
+    ((("--model", "lamp"),), LAMP_PLAN, "layer1", "lamp.on", "1", "Boolean"),
+], ids=["real-given-true-before", "real-given-true-after", "boolean-given-1"])
+def test_check_reports_a_value_of_the_wrong_type(docs, capsys, tmp_path, model,
+                                                  happening, layer, cid, value,
+                                                  datatype):
+    happening = json.loads(json.dumps(happening))
+    happening[layer][cid] = value
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"happenings": [happening]}))
+    model_args = [arg for option, key in model for arg in (option, docs[key])]
+    code, out, err = run(["check", "--plan", str(plan_path), *model_args], capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"ok": False, "violations": [
+        {"kind": "Structure", "happening": 0, "element": cid,
+         "message": f"{layer} value of {cid} is not {datatype}"},
+    ]}
+
+
 def test_usage_error_missing_solver(docs, capsys):
     code, _, _ = run(
         ["plan", "--domain", docs["domain"], "--max-happenings", "1"], capsys
@@ -291,30 +330,8 @@ def test_non_string_port_property_exits_65(capsys, tmp_path):
 
 
 def test_boolean_plan_document_round_trip(capsys, tmp_path):
-    doc = {
-        "typeDescriptions": [{"id": "td.on", "datatype": "Boolean"}],
-        "products": [
-            {"id": "Lamp", "productTypeId": "L", "properties": [
-                {"id": "lamp.on", "typeDescription": "td.on",
-                 "instanceDescriptions": [
-                     {"expressionGoal": "actualValue", "value": False}]},
-                {"id": "lamp.on.after", "typeDescription": "td.on",
-                 "instanceDescriptions": [
-                     {"expressionGoal": "assurance", "value": True}]}]}
-        ],
-        "capabilities": [
-            {"id": "SwitchOn", "kind": "provided", "inputs": [],
-             "outputs": [{"entity": "Lamp", "properties": ["lamp.on.after"]}]},
-            {"id": "req", "kind": "required", "inputs": [],
-             "outputs": [{"entity": "Lamp", "properties": ["lamp.on"]}]},
-        ],
-    }
-    # Goal: the lamp is on.
-    doc["products"][0]["properties"][0]["instanceDescriptions"].append(
-        {"expressionGoal": "requirement", "value": True}
-    )
     model_path = tmp_path / "lamp.json"
-    model_path.write_text(json.dumps(doc))
+    model_path.write_text(json.dumps(fixtures.lamp_doc()))
     plan_path = tmp_path / "lamp_plan.json"
     code, out, _ = run(
         ["plan", "--model", str(model_path), "--max-happenings", "2",

@@ -106,6 +106,22 @@ def test_constraint_must_reference_attached_properties():
     assert "ConstraintReference" in codes
 
 
+def test_parameters_are_the_inputs_nothing_fixes():
+    model = fixtures.transport_model()
+    # CurrentProductPosition and AGVPosition carry actual values.
+    assert model.parameter_ids(model.capability("Transport")) == ("TargetPosition",)
+    assert model.parameter_ids(model.required) == ("RequestedPositionBefore",)
+    pinned = fixtures.transport_model(require_input_at=3)
+    assert pinned.parameter_ids(pinned.required) == ()
+
+
+def test_effects_are_the_constraints_that_reference_an_output():
+    transport = fixtures.transport_model().capability("Transport")
+    at_agv, to_target = transport.constraints
+    assert not transport.is_effect(at_agv)
+    assert transport.is_effect(to_target)
+
+
 def test_validate_clean_transport():
     assert validate(fixtures.transport_model()) == []
 

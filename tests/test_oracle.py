@@ -1,11 +1,13 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 import fixtures
 from capplan.errors import DomainTooLarge
-from capplan.model import parse_model
-from capplan.oracle import brute_force_plan, model_constants, simulate
+from capplan.model import Datatype, parse_model, validate
+from capplan.oracle import Violation, brute_force_plan, model_constants, simulate
 from capplan.planner import Happening, Plan
 from capplan.synonymy import build_index
 
@@ -127,6 +129,29 @@ def test_simulate_division_by_zero_is_a_violation_not_an_error():
     assert not verdict.ok  # 1/0 cannot hold; reported, not raised
 
 
+@pytest.mark.parametrize("layer, cid", [("layer0", AGV), ("layer1", POS)])
+def test_simulate_reports_a_real_class_given_a_boolean_as_structure(layer, cid):
+    model, index = _transport_setup()
+    layers = {"layer0": {POS: F(5), TGT: F(10), AGV: F(5)},
+              "layer1": {POS: F(10), TGT: F(10), AGV: F(5)}}
+    layers[layer][cid] = True
+    verdict = simulate(model, index, _plan([_happening(["Transport"], **layers)]))
+    assert verdict.violations == (
+        Violation("Structure", 0, cid, f"{layer} value of {cid} is not Real"),
+    )
+
+
+def test_simulate_reports_a_boolean_class_given_a_number_as_structure():
+    model = parse_model(fixtures.lamp_doc())
+    index = build_index(model)
+    good = _happening(["SwitchOn"], {"lamp.on": False}, {"lamp.on": True})
+    assert simulate(model, index, _plan([good])).ok
+    bad = _happening(["SwitchOn"], {"lamp.on": False}, {"lamp.on": F(1)})
+    assert simulate(model, index, _plan([bad])).violations == (
+        Violation("Structure", 0, "lamp.on", "layer1 value of lamp.on is not Boolean"),
+    )
+
+
 def test_model_constants():
     model = fixtures.drive_transport_model(product_at=3, agv_at=5, goal=10)
     assert model_constants(model) == (F(3), F(5), F(10))
@@ -200,3 +225,158 @@ def test_brute_force_budget_guard():
     index = build_index(model)
     with pytest.raises(DomainTooLarge):
         brute_force_plan(model, index, 1, value_domain=tuple(F(v) for v in range(6)))
+
+
+REAL_RELATIONS = ("eq", "neq", "lt", "gt", "leq", "geq")
+
+
+def _tiny_doc(seed: int) -> dict:
+    """A random model of at most 3 classes and 3 provided capabilities.
+    Beyond `fixtures.random_model`, it draws every relation, valueless
+    assurances, precondition constraints, effect constraints that are no
+    assignments, and constraints of the required capability."""
+    rng = random.Random(seed)
+    reals = [rng.random() < 0.6 for _ in range(rng.randint(1, 3))]  # per class
+    classes = range(len(reals))
+    doc = {
+        "typeDescriptions": [{"id": f"td{k}", "datatype": "Real" if real else "Boolean"}
+                             for k, real in enumerate(reals)],
+        "products": [],
+        "capabilities": [],
+    }
+
+    def port(name, k, *descriptions):
+        """A port of a new property of class k, on a product of its own."""
+        doc["products"].append({
+            "id": f"E.{name}", "productTypeId": f"T{k}",
+            "properties": [{"id": name, "typeDescription": f"td{k}",
+                            "instanceDescriptions": list(descriptions)}],
+        })
+        return {"entity": f"E.{name}", "properties": [name]}
+
+    def desc(goal, k, relation=None):
+        if relation is None:
+            relation = rng.choice(REAL_RELATIONS if reals[k] else ("eq", "neq"))
+        value = str(rng.randint(0, 2)) if reals[k] else rng.random() < 0.5
+        return {"expressionGoal": goal, "relation": relation, "value": value}
+
+    def maybe(goal, k):
+        return [desc(goal, k)] if rng.random() < 0.5 else []
+
+    for k in classes:
+        if rng.random() < 0.8:
+            port(f"now{k}", k, desc("actualValue", k, "eq"))
+    for j in range(rng.randint(1, 3)):
+        width = rng.randint(1, len(reals)) if rng.random() < 0.4 else 1
+        ins = rng.sample(classes, width)
+        outs = ins if rng.random() < 0.6 else rng.sample(
+            classes, rng.randint(0, min(2, len(reals))))
+        inputs = [port(f"c{j}in{k}", k, *maybe("requirement", k)) for k in ins]
+        real_inputs = [{"ref": f"c{j}in{k}"} for k in ins if reals[k]]
+        constraints, outputs = [], []
+        if real_inputs and rng.random() < 0.3:  # a precondition
+            constraints.append({"apply": rng.choice(REAL_RELATIONS), "args": [
+                rng.choice(real_inputs), {"const": str(rng.randint(0, 2))}]})
+        for k in outs:
+            name, choice = f"c{j}out{k}", rng.random()
+            if reals[k] and real_inputs and choice < 0.5:  # an effect
+                source = rng.choice(real_inputs)
+                if rng.random() < 0.5:
+                    source = {"apply": "plus", "args": [source, {"const": "1"}]}
+                relation = "eq" if choice < 0.3 else rng.choice(REAL_RELATIONS)
+                constraints.append({"apply": relation, "args": [{"ref": name}, source]})
+                outputs.append(port(name, k))
+            elif choice < 0.85:
+                outputs.append(port(name, k, desc("assurance", k)))
+            else:
+                outputs.append(port(name, k, {"expressionGoal": "assurance"}))
+        doc["capabilities"].append({"id": f"cap{j}", "kind": "provided",
+                                    "inputs": inputs, "outputs": outputs,
+                                    "constraints": constraints})
+
+    goals = rng.sample(classes, rng.randint(1, min(2, len(reals))))
+    outputs = [port(f"goal{k}", k, desc("requirement", k, rng.choice(("eq", None))))
+               for k in goals]
+    inputs, constraints = [], []
+    k = rng.choice(classes)
+    if rng.random() < 0.5:
+        inputs.append(port(f"before{k}", k, *maybe("requirement", k)))
+        real_goals = [g for g in goals if reals[g]]
+        if reals[k] and real_goals:  # relates the goal to the initial state
+            constraints.append({"apply": rng.choice(REAL_RELATIONS), "args": [
+                {"ref": f"goal{rng.choice(real_goals)}"}, {"ref": f"before{k}"}]})
+    doc["capabilities"].append({"id": "request", "kind": "required", "inputs": inputs,
+                                "outputs": outputs, "constraints": constraints})
+    return doc
+
+
+def _assert_the_search_finds_what_the_replay_accepts(model, domain):
+    """Enumerate every 1-happening plan over `domain`; when the replay
+    accepts one, the search over `domain` must find a plan that replays."""
+    index = build_index(model)
+    assert len(index.classes) <= 3 and len(model.provided) <= 3
+    pools = [(True, False) if cls.datatype is Datatype.BOOLEAN else domain
+             for cls in index.classes]
+    states = [dict(zip((cls.class_id for cls in index.classes), values))
+              for values in itertools.product(*pools)]
+    cap_ids = sorted(cap.id for cap in model.provided)
+    plans = [
+        _plan([_happening(applied, layer0, layer1)])
+        for r in range(len(cap_ids) + 1)
+        for applied in itertools.combinations(cap_ids, r)
+        for layer0 in states
+        for layer1 in states
+    ]
+    assert any(simulate(model, index, plan).ok for plan in plans)
+    found = brute_force_plan(model, index, 1, value_domain=domain)
+    assert found is not None
+    assert simulate(model, index, found).ok
+
+
+# Tiny random fixtures whose 1-happening plans over their constants
+# include one that replays OK.
+@pytest.mark.parametrize("seed", (2, 14, 42, 43, 49, 54, 62, 69, 102, 107))
+def test_search_finds_a_plan_whenever_the_replay_accepts_one(seed):
+    model = fixtures.random_model(seed)
+    _assert_the_search_finds_what_the_replay_accepts(model, model_constants(model))
+
+
+@pytest.mark.parametrize("seed", (
+    82, 113, 174, 309, 353, 707, 781, 882, 1015, 1217, 1414))
+def test_search_finds_a_plan_whenever_the_replay_accepts_one_in_tiny_models(seed):
+    model = parse_model(_tiny_doc(seed))
+    assert validate(model) == []
+    domain = tuple(F(v) for v in range(4))
+    _assert_the_search_finds_what_the_replay_accepts(model, domain)
+
+
+def test_search_finds_a_plan_that_applies_two_capabilities_at_once():
+    # Two lamps that are off, each switched on by a capability of its own;
+    # both must be on after one happening.
+    doc = {"typeDescriptions": [], "products": [], "capabilities": []}
+    goal = []
+    for lamp in ("a", "b"):
+        doc["typeDescriptions"].append({"id": f"td.{lamp}", "datatype": "Boolean"})
+        doc["products"] += [
+            {"id": f"Lamp.{lamp}", "productTypeId": lamp, "properties": [
+                {"id": f"{lamp}.on", "typeDescription": f"td.{lamp}",
+                 "instanceDescriptions": [
+                     {"expressionGoal": "actualValue", "value": False},
+                     {"expressionGoal": "requirement", "value": True}]}]},
+            {"id": f"Lamp.{lamp}.after", "productTypeId": lamp, "properties": [
+                {"id": f"{lamp}.after", "typeDescription": f"td.{lamp}",
+                 "instanceDescriptions": [
+                     {"expressionGoal": "assurance", "value": True}]}]},
+        ]
+        doc["capabilities"].append({
+            "id": f"Switch.{lamp}", "kind": "provided", "inputs": [],
+            "outputs": [{"entity": f"Lamp.{lamp}.after",
+                         "properties": [f"{lamp}.after"]}]})
+        goal.append({"entity": f"Lamp.{lamp}", "properties": [f"{lamp}.on"]})
+    doc["capabilities"].append({"id": "req", "kind": "required", "inputs": [],
+                                "outputs": goal})
+    model = parse_model(doc)
+    assert validate(model) == []
+    _assert_the_search_finds_what_the_replay_accepts(model, ())
+    plan = brute_force_plan(model, build_index(model), 1)
+    assert plan.happenings[0].applied == ("Switch.a", "Switch.b")
