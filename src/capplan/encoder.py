@@ -222,7 +222,7 @@ class _Builder:
                              layer_in: int, t_out: int, layer_out: int):
         """Map property references to variables: outputs of the capability
         land on the out layer, everything else on the in layer."""
-        return self._place(constraint, cap.output_property_ids(),
+        return self._place(constraint, cap.outputs,
                            (t_in, layer_in), (t_out, layer_out))
 
     def _place(self, node, outputs, in_at, out_at):
@@ -244,8 +244,6 @@ class _Builder:
 
     def assert_boundaries(self, n: int) -> None:
         required = self.model.required
-        required_inputs = required.input_property_ids()
-        required_outputs = required.output_property_ids()
 
         # Actual values pin the current system state at (0,0).
         for prop in sorted(self.model.all_properties(), key=lambda p: p.id):
@@ -259,7 +257,7 @@ class _Builder:
 
         # Input requirements of the required capability are initial
         # conditions; output requirements are the goal at (n,1).
-        for pid in sorted(required_inputs):
+        for pid in sorted(required.inputs):
             prop = self.model.properties[pid]
             for desc in prop.requirements():
                 if desc.value is None:
@@ -275,7 +273,7 @@ class _Builder:
             self.emit(term, "init", required.id, 0,
                       "init.constraint", required.id, i)
 
-        for pid in sorted(required_outputs):
+        for pid in sorted(required.outputs):
             prop = self.model.properties[pid]
             for desc in prop.requirements():
                 if desc.value is None:
@@ -307,8 +305,7 @@ class _Builder:
                     "eq", self.state_ref(member, 0, 0), self.state_ref(rep, 0, 0)
                 )
                 self.emit(term, "align", member, 0, "align.init", member)
-        goal_props = self.model.required.output_property_ids()
-        for pid in sorted(goal_props):
+        for pid in sorted(self.model.required.outputs):
             for syn in sorted(self.index.syn_props[pid]):
                 term = ex.apply_op(
                     "eq", self.state_ref(pid, n, 1), self.state_ref(syn, n, 1)
@@ -322,7 +319,7 @@ class _Builder:
             effects = self.index.effects[cap.id]
 
             pre_terms = []
-            for pid in sorted(cap.input_property_ids()):
+            for pid in sorted(cap.inputs):
                 prop = self.model.properties[pid]
                 for desc in prop.requirements():
                     if desc.value is None:
@@ -335,7 +332,7 @@ class _Builder:
                 )
 
             eff_terms = []
-            for pid in sorted(cap.output_property_ids()):
+            for pid in sorted(cap.outputs):
                 prop = self.model.properties[pid]
                 for desc in prop.assurances():
                     if desc.value is None:

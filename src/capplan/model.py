@@ -1,8 +1,13 @@
 """Capability data model: typed properties, carriers, capabilities.
 
 Parses the canonical JSON-shaped document format, resolves every
-reference and validates the type invariants.  Models are immutable after
-construction and safe to share across threads.
+reference and validates the type invariants.  Each fact is stored once:
+products, resources and information entities are Entity records in one
+`entities` dict, told apart by `kind`, and a capability holds the sets of
+property ids its input and output ports use.  Parsing checks each port
+(a declared entity, a list of declared properties that entity carries)
+and keeps only those ids.  Models are immutable after construction and
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -35,11 +40,6 @@ class Relation(Enum):
     GT = "gt"
     LEQ = "leq"
     GEQ = "geq"
-
-
-class CapabilityKind(Enum):
-    PROVIDED = "provided"
-    REQUIRED = "required"
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,49 +82,26 @@ class Property:
 
 
 @dataclass(frozen=True, slots=True)
-class Product:
+class Entity:
+    """A product, resource or information entity and the properties it
+    carries.  `type_id` is the product or information type; a resource
+    has none."""
+
     id: str
-    product_type_id: str
+    kind: str  # "product" | "resource" | "information"
+    type_id: Optional[str]
     properties: tuple = ()
-
-
-@dataclass(frozen=True, slots=True)
-class Resource:
-    id: str
-    properties: tuple = ()
-
-
-@dataclass(frozen=True, slots=True)
-class InformationEntity:
-    id: str
-    type_id: str
-    properties: tuple = ()
-
-
-@dataclass(frozen=True, slots=True)
-class CapabilityPort:
-    """One input or output entry: an entity and the properties used there."""
-
-    entity_id: str
-    property_ids: tuple = ()
 
 
 @dataclass(frozen=True, slots=True)
 class Capability:
+    """A capability; `inputs` and `outputs` are the ids of the properties
+    its ports use."""
+
     id: str
-    kind: CapabilityKind
-    inputs: tuple = ()
-    outputs: tuple = ()
+    inputs: frozenset = frozenset()
+    outputs: frozenset = frozenset()
     constraints: tuple = ()
-
-    def input_property_ids(self) -> frozenset:
-        return frozenset(p for port in self.inputs for p in port.property_ids)
-
-    def output_property_ids(self) -> frozenset:
-        return frozenset(p for port in self.outputs for p in port.property_ids)
-
-    def attached_property_ids(self) -> frozenset:
-        return self.input_property_ids() | self.output_property_ids()
 
     def is_effect(self, constraint) -> bool:
         """Whether a constraint of this capability references one of its
@@ -132,27 +109,19 @@ class Capability:
         applies to those after it (for the required capability: the
         initial state to the goal); any other constraint is a
         precondition on the values before."""
-        return not self.output_property_ids().isdisjoint(ex.references(constraint))
+        return not self.outputs.isdisjoint(ex.references(constraint))
 
 
 @dataclass(frozen=True, slots=True)
 class CapabilityModel:
     type_descriptions: dict
-    products: dict
-    resources: dict
-    information: dict
+    entities: dict
     provided: tuple
     required: Capability
     properties: dict = field(default_factory=dict)
 
     def all_properties(self) -> tuple:
         return tuple(self.properties.values())
-
-    def entity(self, entity_id: str):
-        for registry in (self.products, self.resources, self.information):
-            if entity_id in registry:
-                return registry[entity_id]
-        raise KeyError(entity_id)
 
     def capabilities(self) -> tuple:
         return self.provided + (self.required,)
@@ -167,7 +136,7 @@ class CapabilityModel:
         """The capability's input properties, sorted, that no requirement
         and no actual value fixes: the plan chooses their values."""
         return tuple(
-            pid for pid in sorted(capability.input_property_ids())
+            pid for pid in sorted(capability.inputs)
             if not self.properties[pid].requirements()
             and not self.properties[pid].actual_values()
         )
@@ -181,6 +150,14 @@ class Diagnostic:
 
 
 _TOP_LEVEL_KEYS = ("typeDescriptions", "products", "resources", "information", "capabilities")
+
+# Per entity kind, in parsing order: its document key, its kind, its name
+# in messages and the key of its type id (a resource has none).
+_ENTITY_KINDS = (
+    ("products", "product", "product", "productTypeId"),
+    ("resources", "resource", "resource", None),
+    ("information", "information", "information entity", "typeId"),
+)
 
 # Characters that would break quoted SMT-LIB symbols.
 _FORBIDDEN_ID_CHARS = ("|", "\\")
@@ -223,59 +200,32 @@ def parse_model(document) -> CapabilityModel:
         type_descriptions[td.id] = td
 
     properties: dict = {}
-    entity_ids: set = set()
+    entities: dict = {}
+    for key, kind, what, type_key in _ENTITY_KINDS:
+        for doc in _as_list(document, key):
+            eid = _require_id(doc, what)
+            if eid in entities:
+                raise DuplicateId(f"entity {eid!r} declared twice")
+            type_id = _require_str(doc, type_key, f"{what} {eid}") if type_key else None
+            carried = []
+            for pdoc in _as_list(doc, "properties"):
+                prop = _parse_property(pdoc, eid, type_descriptions)
+                if prop.id in properties:
+                    raise DuplicateId(f"property {prop.id!r} declared twice")
+                properties[prop.id] = prop
+                carried.append(prop)
+            entities[eid] = Entity(eid, kind, type_id, tuple(carried))
 
-    def parse_entity_properties(entity_doc, entity_id):
-        out = []
-        for pdoc in _as_list(entity_doc, "properties"):
-            prop = _parse_property(pdoc, entity_id, type_descriptions)
-            if prop.id in properties:
-                raise DuplicateId(f"property {prop.id!r} declared twice")
-            properties[prop.id] = prop
-            out.append(prop)
-        return tuple(out)
-
-    def claim_entity_id(entity_id):
-        if entity_id in entity_ids:
-            raise DuplicateId(f"entity {entity_id!r} declared twice")
-        entity_ids.add(entity_id)
-
-    products: dict = {}
-    for doc in _as_list(document, "products"):
-        pid = _require_id(doc, "product")
-        claim_entity_id(pid)
-        products[pid] = Product(
-            id=pid,
-            product_type_id=_require_str(doc, "productTypeId", f"product {pid}"),
-            properties=parse_entity_properties(doc, pid),
-        )
-
-    resources: dict = {}
-    for doc in _as_list(document, "resources"):
-        rid = _require_id(doc, "resource")
-        claim_entity_id(rid)
-        resources[rid] = Resource(id=rid, properties=parse_entity_properties(doc, rid))
-
-    information: dict = {}
-    for doc in _as_list(document, "information"):
-        iid = _require_id(doc, "information entity")
-        claim_entity_id(iid)
-        information[iid] = InformationEntity(
-            id=iid,
-            type_id=_require_str(doc, "typeId", f"information entity {iid}"),
-            properties=parse_entity_properties(doc, iid),
-        )
-
-    provided = []
-    required = []
+    by_kind = {"provided": [], "required": []}
     cap_ids: set = set()
     for doc in _as_list(document, "capabilities"):
-        cap = _parse_capability(doc, entity_ids, properties)
+        kind, cap = _parse_capability(doc, entities, properties)
         if cap.id in cap_ids:
             raise DuplicateId(f"capability {cap.id!r} declared twice")
         cap_ids.add(cap.id)
-        (provided if cap.kind is CapabilityKind.PROVIDED else required).append(cap)
+        by_kind[kind].append(cap)
 
+    required = by_kind["required"]
     if len(required) != 1:
         raise SchemaError(
             f"exactly one required capability expected, found {len(required)}"
@@ -283,10 +233,8 @@ def parse_model(document) -> CapabilityModel:
 
     return CapabilityModel(
         type_descriptions=type_descriptions,
-        products=products,
-        resources=resources,
-        information=information,
-        provided=tuple(provided),
+        entities=entities,
+        provided=tuple(by_kind["provided"]),
         required=required[0],
         properties=properties,
     )
@@ -356,18 +304,18 @@ def _parse_instance_description(doc, pid) -> InstanceDescription:
     return InstanceDescription(goal=goal, relation=relation, value=value)
 
 
-def _parse_capability(doc, entity_ids, properties) -> Capability:
+def _parse_capability(doc, entities, properties) -> tuple:
+    """The capability's kind, "provided" or "required", and the capability."""
     cid = _require_id(doc, "capability")
-    try:
-        kind = CapabilityKind(doc.get("kind"))
-    except ValueError:
+    kind = doc.get("kind")
+    if kind not in ("provided", "required"):
         raise SchemaError(f"capability {cid}: kind must be provided or required")
 
-    def parse_ports(key):
-        ports = []
+    def parse_ports(key) -> frozenset:
+        used = set()
         for pdoc in _as_list(doc, key):
             eid = _require_str(pdoc, "entity", f"capability {cid} {key} entry")
-            if eid not in entity_ids:
+            if eid not in entities:
                 raise DanglingReference(f"capability {cid}: unknown entity {eid!r}")
             prop_ids = pdoc.get("properties", [])
             if not isinstance(prop_ids, list):
@@ -383,15 +331,14 @@ def _parse_capability(doc, entity_ids, properties) -> Capability:
                     raise SchemaError(
                         f"capability {cid}: property {prop_id!r} is not carried by {eid!r}"
                     )
-            ports.append(CapabilityPort(entity_id=eid, property_ids=tuple(prop_ids)))
-        return tuple(ports)
+            used.update(prop_ids)
+        return frozenset(used)
 
     constraints = tuple(
         ex.parse_expression(cdoc) for cdoc in _as_list(doc, "constraints")
     )
-    return Capability(
+    return kind, Capability(
         id=cid,
-        kind=kind,
         inputs=parse_ports("inputs"),
         outputs=parse_ports("outputs"),
         constraints=constraints,
@@ -443,27 +390,16 @@ def validate(model: CapabilityModel) -> list:
                     f"ordering relation {desc.relation.value} on a boolean property",
                 )
 
-    for product in model.products.values():
-        if not product.product_type_id:
-            flag("EmptyProductType", product.id, "productTypeId must be non-empty")
-    for info in model.information.values():
-        if not info.type_id:
-            flag("EmptyProductType", info.id, "typeId must be non-empty")
+    for entity in model.entities.values():
+        if entity.kind != "resource" and not entity.type_id:
+            key = "productTypeId" if entity.kind == "product" else "typeId"
+            flag("EmptyProductType", entity.id, f"{key} must be non-empty")
 
     for cap in model.capabilities():
-        attached = cap.attached_property_ids()
+        attached = cap.inputs | cap.outputs
         for ch in _FORBIDDEN_ID_CHARS:
             if ch in cap.id:
                 flag("IdCharset", cap.id, f"capability id contains forbidden {ch!r}")
-        for port in cap.inputs + cap.outputs:
-            if port.entity_id not in {
-                *model.products, *model.resources, *model.information
-            }:
-                flag(
-                    "DanglingReference",
-                    cap.id,
-                    f"port references unknown entity {port.entity_id!r}",
-                )
         for i, constraint in enumerate(cap.constraints):
             refs = ex.references(constraint)
             outside = refs - attached

@@ -176,13 +176,13 @@ def _checks(model: CapabilityModel, index: SynonymyIndex) -> _Checks:
     ]
     init += [
         value("InitMismatch", pid, "required initial condition fails", pid, False, desc)
-        for pid in sorted(required.input_property_ids()) for desc in requirements(pid)
+        for pid in sorted(required.inputs) for desc in requirements(pid)
     ]
     goal = [
         value("GoalFailed", pid, "goal requirement fails", pid, True, desc)
-        for pid in sorted(required.output_property_ids()) for desc in requirements(pid)
+        for pid in sorted(required.outputs) for desc in requirements(pid)
     ]
-    outputs = required.output_property_ids()
+    outputs = required.outputs
     for i, term in enumerate(required.constraints):
         kind, side = ("GoalFailed", goal) if required.is_effect(term) else (
             "InitMismatch", init)
@@ -193,10 +193,10 @@ def _checks(model: CapabilityModel, index: SynonymyIndex) -> _Checks:
     # layer 0, effect constraints, then assurances on layer 1.
     steps = {}
     for cap in model.provided:
-        outputs = cap.output_property_ids()
+        outputs = cap.outputs
         checks = [
             value(_PRE, cap.id, f"requirement on {pid} fails", pid, False, desc)
-            for pid in sorted(cap.input_property_ids()) for desc in requirements(pid)
+            for pid in sorted(cap.inputs) for desc in requirements(pid)
         ]
         checks += [
             (_EFF if cap.is_effect(term) else _PRE, cap.id, f"constraint {i} fails",
@@ -318,7 +318,7 @@ def _initial_states(model, index, domain, init):
         for desc in prop.actual_values():
             if desc.value is not None:
                 consistent &= pin(index.class_id(prop.id), desc.value)
-    for pid in model.required.input_property_ids():
+    for pid in model.required.inputs:
         for desc in model.properties[pid].requirements():
             if desc.value is not None and desc.relation.value == "eq":
                 consistent &= pin(index.class_id(pid), desc.value)
@@ -360,7 +360,7 @@ def _moves(model, index, cap: Capability) -> tuple:
     is an assignment sets its formula's value on layer 0 (update).  Other
     assurances leave their class open, as does every Real output of any
     other effect constraint."""
-    outputs = cap.output_property_ids()
+    outputs = cap.outputs
     fixed, opened = [], set()
     for pid in sorted(outputs):
         cid = index.class_id(pid)

@@ -180,14 +180,16 @@ class _Session:
     """One solver process checked with push/pop over an encoding.
 
     A check that starts a process sends it the script header; any other
-    check pops what the check before pushed.  Each check then declares the
-    encoding's variables the process has not seen and asserts the `kept`
-    assertions it has not been sent, outside any push, then asserts
-    `pushed` under (push 1).  A process that timed out was killed by
-    SmtProcess, so the next check starts a fresh one.  Each
-    pushed assertion is rendered once per session: a minimizing run sends
-    the same happening blocks at every bound, and core minimization sends
-    its members at every trial.
+    check pops what the check before pushed.  The session tracks what its
+    process holds by happening: `held` is the last happening it has been
+    sent, -1 for a fresh process.  Declarations and `kept` assertions read
+    the same at every larger bound (see encoder), so each check sends, in
+    encoding order, the declarations and `kept` assertions of the
+    happenings above `held`, outside any push, then asserts `pushed` under
+    (push 1).  A process that timed out was killed by SmtProcess, so the
+    next check starts a fresh one.  Each pushed assertion is rendered once
+    per session: a minimizing run sends the same happening blocks at every
+    bound, and core minimization sends its members at every trial.
     """
 
     def __init__(self, solver: SolverConfig):
@@ -202,18 +204,14 @@ class _Session:
               model: bool = True) -> SolveOutcome:
         if self.process is None or self.process.closed:
             self.process = SmtProcess(self.solver)
-            self.declared, self.asserted = set(), set()
+            self.held = -1
             lines = script_header(encoding.logic, self.solver.random_seed)
         else:
             lines = ["(pop 1)"]
-        for symbol, key in encoding.variables.items():
-            if symbol not in self.declared:
-                self.declared.add(symbol)
-                lines.append(declaration(symbol, key))
-        for assertion in kept:
-            if assertion.name not in self.asserted:
-                self.asserted.add(assertion.name)
-                lines.append(_line(assertion))
+        lines += [declaration(symbol, key)
+                  for symbol, key in encoding.variables.items() if key.t > self.held]
+        lines += [_line(a) for a in kept if a.t > self.held]
+        self.held = encoding.bound
         lines.append("(push 1)")
         for assertion in pushed:
             cached = self.rendered.get(id(assertion))
@@ -326,7 +324,7 @@ def explain(no_plan: NoPlanFound, model: CapabilityModel) -> Explanation:
                 family=assertion.family,
                 element_id=assertion.element_id,
                 happening=assertion.t,
-                rendering=render_term(assertion.term),
+                rendering=render_term(assertion.term, encoding.variables),
             )
         )
     return Explanation(core_names=tuple(no_plan.last_core), elements=tuple(elements))
@@ -339,20 +337,18 @@ _INFIX = {
 }
 
 
-def render_term(term) -> str:
-    """Human-oriented rendering of an assertion term; variables print as
-    state@(happening,layer)."""
+def render_term(term, variables: dict) -> str:
+    """Human-oriented rendering of an assertion term; `variables` maps each
+    symbol to its VariableKey.  A state prints as state@(happening,layer),
+    a capability as capability@happening."""
     if isinstance(term, ex.Const):
         return ex.value_to_text(term.value)
     if isinstance(term, ex.Ref):
-        symbol = term.property_id
-        parts = symbol.split("#")
-        if len(parts) == 3 and parts[1].startswith("t") and parts[2].startswith("l"):
-            return f"{parts[0]}@({parts[1][1:]},{parts[2][1:]})"
-        if len(parts) == 2 and parts[1].startswith("t"):
-            return f"{parts[0]}@{parts[1][1:]}"
-        return symbol
+        key = variables[term.property_id]
+        if key.layer is None:
+            return f"{key.ident}@{key.t}"
+        return f"{key.ident}@({key.t},{key.layer})"
     if term.op == "not":
-        return f"(not {render_term(term.args[0])})"
+        return f"(not {render_term(term.args[0], variables)})"
     symbol = _INFIX[term.op]
-    return "(" + f" {symbol} ".join(render_term(a) for a in term.args) + ")"
+    return "(" + f" {symbol} ".join(render_term(a, variables) for a in term.args) + ")"

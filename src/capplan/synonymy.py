@@ -3,7 +3,10 @@
 Capabilities modeled by different vendors refer to the same physical object
 under different identifiers.  Products (and information entities) of the
 same type are synonymous; their same-typed properties are synonymous and
-are closed transitively into classes.  The encoder creates one state
+are closed transitively into classes.  A property's class key is its
+carrier's kind, the carrier's type and the property's type description,
+so a product and an information entity of one type id stay apart; a
+resource property is a class of its own.  The encoder creates one state
 variable per class, so a capability writing one member is visible to every
 capability reading another.
 
@@ -16,14 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import (
-    Capability,
-    CapabilityModel,
-    Datatype,
-    InformationEntity,
-    Product,
-    Relation,
-)
+from .model import Capability, CapabilityModel, Datatype, Relation
 from . import expr as ex
 
 
@@ -73,27 +69,18 @@ class SynonymyIndex:
         return self.class_of[property_id].class_id
 
 
-def _entity_block_key(model: CapabilityModel, carrier) -> tuple:
-    if isinstance(carrier, Product):
-        return ("product", carrier.product_type_id)
-    if isinstance(carrier, InformationEntity):
-        return ("information", carrier.type_id)
-    # Resource-carried state never merges across resources; the property id
-    # itself is the identity.
-    return ("resource-property",)
-
-
 def build_index(model: CapabilityModel) -> SynonymyIndex:
-    """Group properties into classes: same carrier block and same type
-    description, or the identical resource property."""
+    """Group properties into classes: same carrier kind, carrier type and
+    type description, or the identical resource property."""
     groups: dict = {}
     for prop in model.all_properties():
-        carrier = model.entity(prop.carrier_id)
-        key = _entity_block_key(model, carrier)
-        if key == ("resource-property",):
+        carrier = model.entities[prop.carrier_id]
+        if carrier.kind == "resource":
+            # Resource-carried state never merges across resources; the
+            # property id itself is the identity.
             key = ("resource-property", prop.id)
         else:
-            key = key + (prop.type_description.id,)
+            key = (carrier.kind, carrier.type_id, prop.type_description.id)
         groups.setdefault(key, []).append(prop)
 
     classes = []
@@ -133,7 +120,7 @@ def effect_sets(model: CapabilityModel, cap: Capability) -> EffectSets:
     effects are always numeric, even if the assured value happens to equal
     the previous one.
     """
-    outputs = cap.output_property_ids()
+    outputs = cap.outputs
     touched_by_constraint: set = set()
     for constraint in cap.constraints:
         if cap.is_effect(constraint):
@@ -188,7 +175,7 @@ def _affecting(classes, effects: dict) -> dict:
 def _mutexes(model: CapabilityModel, class_of: dict) -> tuple:
     caps = sorted(model.provided, key=lambda c: c.id)
     touched = [
-        {class_of[p].class_id for p in cap.attached_property_ids()} for cap in caps
+        {class_of[p].class_id for p in cap.inputs | cap.outputs} for cap in caps
     ]
     return tuple(
         (first.id, caps[j].id)

@@ -39,8 +39,7 @@ SLOTTED = (
     expr.Const, expr.Ref, expr.Apply,
     encoder.VariableKey, encoder.Assertion,
     model.TypeDescription, model.InstanceDescription, model.Property,
-    model.Product, model.Resource, model.InformationEntity,
-    model.CapabilityPort, model.Capability, model.CapabilityModel,
+    model.Entity, model.Capability, model.CapabilityModel,
     model.Diagnostic,
     planner.Happening, planner.Plan, planner.BoundOutcome,
     planner.ExplanationElement, planner.Explanation,

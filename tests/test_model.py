@@ -1,4 +1,5 @@
 import pytest
+from dataclasses import replace
 from fractions import Fraction
 
 import fixtures
@@ -96,6 +97,56 @@ def test_duplicate_ids_rejected_on_merge():
     merged = merge_documents(fixtures.transport_domain(), fixtures.transport_domain())
     with pytest.raises(DuplicateId):
         parse_model(merged)
+
+
+def _with_entities(**lists):
+    doc = fixtures.transport_single_doc()
+    for key, entities in lists.items():
+        doc[key] = doc.get(key, []) + entities
+    return doc
+
+
+@pytest.mark.parametrize("doc, error, message", [
+    (_with_entities(resources=[{"id": "Input_Product"}]),
+     DuplicateId, "entity 'Input_Product' declared twice"),
+    (_with_entities(resources=[{"id": "R"}], information=[{"id": "R", "typeId": "I"}]),
+     DuplicateId, "entity 'R' declared twice"),
+    (_with_entities(products=[{"id": "P"}]),
+     SchemaError, "product P needs a non-empty string 'productTypeId'"),
+    (_with_entities(products=[{"id": "P", "productTypeId": ""}]),
+     SchemaError, "product P needs a non-empty string 'productTypeId'"),
+    (_with_entities(information=[{"id": "I"}]),
+     SchemaError, "information entity I needs a non-empty string 'typeId'"),
+    (_with_entities(products=[{"productTypeId": "T"}]),
+     SchemaError, "product needs a non-empty string 'id'"),
+    (_with_entities(resources=[{"properties": []}]),
+     SchemaError, "resource needs a non-empty string 'id'"),
+    (_with_entities(information=[{"typeId": "I"}]),
+     SchemaError, "information entity needs a non-empty string 'id'"),
+], ids=["product-resource", "resource-information", "missing-product-type",
+        "empty-product-type", "missing-type-id", "product-id", "resource-id",
+        "information-id"])
+def test_malformed_entities_are_rejected(doc, error, message):
+    with pytest.raises(error) as caught:
+        parse_model(doc)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_validate_flags_an_empty_type_on_a_hand_built_model():
+    model = fixtures.drive_transport_model()
+    entities = {eid: replace(entity, type_id="")
+                for eid, entity in model.entities.items()}
+    diagnostics = validate(replace(model, entities=entities))
+    # Resources have no type; products and information entities do.
+    assert [(d.code, d.element_id, d.message) for d in diagnostics] == [
+        ("EmptyProductType", eid,
+         "productTypeId must be non-empty" if entity.kind == "product"
+         else "typeId must be non-empty")
+        for eid, entity in model.entities.items() if entity.kind != "resource"
+    ]
+    assert {e.kind for e in model.entities.values()} == {
+        "product", "resource", "information"}
 
 
 def test_constraint_must_reference_attached_properties():

@@ -139,6 +139,40 @@ def test_explanation_names_boundary_and_frame():
     assert "CurrentProductPosition@(0,0)" in rendered
 
 
+def test_explanation_renders_ids_that_contain_the_symbol_separator():
+    # `#` separates the parts of an SMT symbol, and ids may contain it.
+    doc = {
+        "typeDescriptions": [{"id": "td.pos", "datatype": "Real"},
+                             {"id": "td.gate", "datatype": "Boolean"}],
+        "products": [{"id": "P", "productTypeId": "T", "properties": [
+            {"id": "Pos#2", "typeDescription": "td.pos", "instanceDescriptions": [
+                {"expressionGoal": "actualValue", "value": "0"},
+                {"expressionGoal": "requirement", "value": "1"},
+                {"expressionGoal": "assurance", "value": "1"}]}]}],
+        "resources": [{"id": "R", "properties": [
+            {"id": "Gate#1", "typeDescription": "td.gate", "instanceDescriptions": [
+                {"expressionGoal": "actualValue", "value": False},
+                {"expressionGoal": "requirement", "value": True}]}]}],
+        "capabilities": [
+            {"id": "move#fast", "kind": "provided",
+             "inputs": [{"entity": "R", "properties": ["Gate#1"]}],
+             "outputs": [{"entity": "P", "properties": ["Pos#2"]}]},
+            {"id": "req", "kind": "required", "inputs": [],
+             "outputs": [{"entity": "P", "properties": ["Pos#2"]}]},
+        ],
+    }
+    model = parse_model(doc)
+    result = plan(model, 0, _config(minimize=True))
+    renderings = {e.name: e.rendering for e in explain(result, model).elements}
+    assert renderings == {
+        "init.Pos_2": "(Pos#2@(0,0) = 0)",
+        "init.Gate_1": "(Gate#1@(0,0) = false)",
+        "goal.Pos_2": "(Pos#2@(0,1) = 1)",
+        "pre.move_fast.t0": "(move#fast@0 => (Gate#1@(0,0) = true))",
+        "frame.Pos_2.t0.real": "((not move#fast@0) => (Pos#2@(0,1) = Pos#2@(0,0)))",
+    }
+
+
 def test_explanation_of_contradictory_boundaries():
     model = fixtures.contradictory_model()
     result = plan(model, 1, _config(minimize=True))
