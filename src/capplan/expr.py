@@ -4,6 +4,11 @@ Expressions are a small prefix-form language over constants, property
 references and a fixed operator set.  All numeric arithmetic is exact:
 constants are Fractions, never floats, so evaluation agrees with SMT real
 semantics at equality tests.
+
+OPERATOR_TABLE states each operator once: the kind of its arguments and
+of its result, its arity and the symbol it prints as.  Parsing checks
+arity and typing against it, and both renderers (SMT-LIB in smtlib,
+explanations in planner) print its symbols.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import (
     ArityError,
@@ -24,30 +29,38 @@ from .errors import (
 
 Value = Union[bool, Fraction]
 
-ARITHMETIC_OPERATORS = ("plus", "minus", "times", "divide")
-RELATIONAL_OPERATORS = ("eq", "neq", "lt", "gt", "leq", "geq")
-LOGICAL_OPERATORS = ("and", "or", "not")
 
-#: Operators accepted in input documents.
-OPERATORS = ARITHMETIC_OPERATORS + RELATIONAL_OPERATORS + LOGICAL_OPERATORS
+class Operator(NamedTuple):
+    argument: str  # the kind of every argument, "real" or "bool"
+    result: str
+    low: int  # minimum arity
+    high: Optional[int]  # maximum arity, None for unbounded
+    symbol: str
 
-# (min arity, max arity or None for unbounded)
-_ARITY = {
-    "not": (1, 1),
-    "minus": (2, 2),
-    "divide": (2, 2),
-    "eq": (2, 2),
-    "neq": (2, 2),
-    "lt": (2, 2),
-    "gt": (2, 2),
-    "leq": (2, 2),
-    "geq": (2, 2),
-    "implies": (2, 2),
-    "plus": (2, None),
-    "times": (2, None),
-    "and": (2, None),
-    "or": (2, None),
+
+#: Every operator, with the symbol it prints as in SMT-LIB and in
+#: explanations.  SMT-LIB has no neq: it prints as (not (= …)) there.
+OPERATOR_TABLE = {
+    "plus": Operator("real", "real", 2, None, "+"),
+    "minus": Operator("real", "real", 2, 2, "-"),
+    "times": Operator("real", "real", 2, None, "*"),
+    "divide": Operator("real", "real", 2, 2, "/"),
+    "eq": Operator("real", "bool", 2, 2, "="),
+    "neq": Operator("real", "bool", 2, 2, "!="),
+    "lt": Operator("real", "bool", 2, 2, "<"),
+    "gt": Operator("real", "bool", 2, 2, ">"),
+    "leq": Operator("real", "bool", 2, 2, "<="),
+    "geq": Operator("real", "bool", 2, 2, ">="),
+    "and": Operator("bool", "bool", 2, None, "and"),
+    "or": Operator("bool", "bool", 2, None, "or"),
+    "not": Operator("bool", "bool", 1, 1, "not"),
+    "implies": Operator("bool", "bool", 2, 2, "=>"),
 }
+
+#: Operators accepted in input documents; only the encoder builds implies.
+OPERATORS = tuple(op for op in OPERATOR_TABLE if op != "implies")
+
+SYMBOLS = {op: row.symbol for op, row in OPERATOR_TABLE.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,15 +169,15 @@ def _parse_node(document) -> Expression:
 
 
 def _check_arity(node: Apply) -> None:
-    low, high = _ARITY[node.op]
+    row = OPERATOR_TABLE[node.op]
     n = len(node.args)
-    if n < low or (high is not None and n > high):
+    if n < row.low or (row.high is not None and n > row.high):
         raise ArityError(f"{node.op} applied to {n} argument(s)")
 
 
 def _check_types(expr: Expression, expected: str, ref_types: dict) -> None:
-    """Infer ref types top-down; relational/arithmetic children are real,
-    logical children boolean."""
+    """Infer ref types top-down: every argument of an operator has the
+    argument kind its table row gives."""
     if isinstance(expr, Const):
         kind = "bool" if isinstance(expr.value, bool) else "real"
         if kind != expected:
@@ -177,17 +190,14 @@ def _check_types(expr: Expression, expected: str, ref_types: dict) -> None:
             )
         ref_types[expr.property_id] = expected
     else:
-        op = expr.op
-        if op in ARITHMETIC_OPERATORS:
-            result, child = "real", "real"
-        elif op in RELATIONAL_OPERATORS:
-            result, child = "bool", "real"
-        else:
-            result, child = "bool", "bool"
-        if result != expected:
-            raise ExpressionTypeError(f"{op} produces a {result}, {expected} expected")
+        row = OPERATOR_TABLE.get(expr.op)
+        if row is None:
+            raise UnknownOperator(f"unknown operator {expr.op!r}")
+        if row.result != expected:
+            raise ExpressionTypeError(
+                f"{expr.op} produces a {row.result}, {expected} expected")
         for arg in expr.args:
-            _check_types(arg, child, ref_types)
+            _check_types(arg, row.argument, ref_types)
 
 
 def infer_ref_types(expr: Expression) -> dict:
@@ -209,22 +219,14 @@ def references(expr: Expression) -> frozenset:
     return frozenset()
 
 
-def _contains_ref(expr: Expression) -> bool:
-    if isinstance(expr, Ref):
-        return True
-    if isinstance(expr, Apply):
-        return any(_contains_ref(a) for a in expr.args)
-    return False
-
-
 def is_linear(expr: Expression) -> bool:
     """True iff no product multiplies two variable terms and no division has
     a variable divisor."""
     if isinstance(expr, Apply):
         if expr.op == "times":
-            if sum(1 for a in expr.args if _contains_ref(a)) > 1:
+            if sum(1 for a in expr.args if references(a)) > 1:
                 return False
-        if expr.op == "divide" and _contains_ref(expr.args[1]):
+        if expr.op == "divide" and references(expr.args[1]):
             return False
         return all(is_linear(a) for a in expr.args)
     return True

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import expr as ex
-from .errors import DanglingReference, DuplicateId, SchemaError
+from .errors import DanglingReference, DuplicateId, InvalidModel, SchemaError
 
 
 class Datatype(Enum):
@@ -422,6 +422,15 @@ def validate(model: CapabilityModel) -> list:
                     )
 
     return diagnostics
+
+
+def require_valid(diagnostics: list) -> None:
+    """Raise InvalidModel naming every diagnostic `validate` gave, if any:
+    neither the planner nor the oracle's search takes an invalid model."""
+    if diagnostics:
+        raise InvalidModel(
+            "; ".join(f"{d.code}({d.element_id}): {d.message}" for d in diagnostics)
+        )
 
 
 def load_model(*paths) -> CapabilityModel:

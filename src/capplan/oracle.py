@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import expr as ex
 from .errors import DivisionByZero, DomainTooLarge
-from .model import Capability, CapabilityModel, Datatype
+from .model import Capability, CapabilityModel, Datatype, require_valid, validate
 from .synonymy import SynonymyIndex
 
 _SEARCH_BUDGET = 200_000
@@ -420,10 +420,11 @@ def brute_force_plan(model, index, max_happenings: int, value_domain=None):
     budget is exceeded.  Real-valued choices come from the finite value
     domain (defaulting to the model constants closed under constraint
     offsets), so a goal needing a value outside that domain is reported as
-    unreachable.
+    unreachable.  An invalid model raises InvalidModel, as in plan().
     """
     from .planner import Happening, Plan  # local import to avoid a cycle
 
+    require_valid(validate(model))
     if value_domain is not None:
         domain = tuple(value_domain)
     else:

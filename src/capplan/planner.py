@@ -36,8 +36,8 @@ from typing import Optional, Union
 
 from . import expr as ex
 from .encoder import Encoding, VariableKey, build
-from .errors import CoresUnavailable, IncompleteModel, InvalidModel
-from .model import CapabilityModel, validate
+from .errors import CoresUnavailable, IncompleteModel
+from .model import CapabilityModel, require_valid, validate
 from .smtlib import (
     SmtProcess,
     SolveOutcome,
@@ -115,11 +115,7 @@ class PlannerConfig:
 def plan(model: CapabilityModel, max_happenings: int,
          config: PlannerConfig) -> Union[Plan, NoPlanFound]:
     """Find a minimal-bound plan within bounds 0..max_happenings."""
-    diagnostics = validate(model)
-    if diagnostics:
-        raise InvalidModel(
-            "; ".join(f"{d.code}({d.element_id}): {d.message}" for d in diagnostics)
-        )
+    require_valid(validate(model))
     if max_happenings < 0:
         raise ValueError("max_happenings must be >= 0")
     index = build_index(model)
@@ -187,18 +183,12 @@ class _Session:
     encoding order, the declarations and `kept` assertions of the
     happenings above `held`, outside any push, then asserts `pushed` under
     (push 1).  A process that timed out was killed by SmtProcess, so the
-    next check starts a fresh one.  Each pushed assertion is rendered once
-    per session: a minimizing run sends the same happening blocks at every
-    bound, and core minimization sends its members at every trial.
+    next check starts a fresh one.
     """
 
     def __init__(self, solver: SolverConfig):
         self.solver = solver
         self.process = None
-        # id(assertion) -> (assertion, line); holding the assertion keeps
-        # its id from being reused.  Boundary names repeat across bounds
-        # with other terms, so the name cannot be the key.
-        self.rendered = {}
 
     def check(self, encoding: Encoding, pushed, kept=(),
               model: bool = True) -> SolveOutcome:
@@ -213,11 +203,7 @@ class _Session:
         lines += [_line(a) for a in kept if a.t > self.held]
         self.held = encoding.bound
         lines.append("(push 1)")
-        for assertion in pushed:
-            cached = self.rendered.get(id(assertion))
-            if cached is None:
-                cached = self.rendered[id(assertion)] = (assertion, _line(assertion))
-            lines.append(cached[1])
+        lines += [_line(a) for a in pushed]
         return self.process.exchange("\n".join(lines) + "\n", model=model)
 
     def close(self) -> None:
@@ -330,13 +316,6 @@ def explain(no_plan: NoPlanFound, model: CapabilityModel) -> Explanation:
     return Explanation(core_names=tuple(no_plan.last_core), elements=tuple(elements))
 
 
-_INFIX = {
-    "eq": "=", "neq": "!=", "lt": "<", "gt": ">", "leq": "<=", "geq": ">=",
-    "plus": "+", "minus": "-", "times": "*", "divide": "/",
-    "and": "and", "or": "or", "implies": "=>",
-}
-
-
 def render_term(term, variables: dict) -> str:
     """Human-oriented rendering of an assertion term; `variables` maps each
     symbol to its VariableKey.  A state prints as state@(happening,layer),
@@ -350,5 +329,5 @@ def render_term(term, variables: dict) -> str:
         return f"{key.ident}@({key.t},{key.layer})"
     if term.op == "not":
         return f"(not {render_term(term.args[0], variables)})"
-    symbol = _INFIX[term.op]
+    symbol = ex.SYMBOLS[term.op]
     return "(" + f" {symbol} ".join(render_term(a, variables) for a in term.args) + ")"

@@ -44,22 +44,6 @@ from .errors import SolverLaunchError, SolverProtocolError
 from .model import Datatype
 from .sexp import Reader, SexpError, format_value, parse_sexprs, quote, unquote
 
-_SMT_OPS = {
-    "plus": "+",
-    "minus": "-",
-    "times": "*",
-    "divide": "/",
-    "eq": "=",
-    "lt": "<",
-    "gt": ">",
-    "leq": "<=",
-    "geq": ">=",
-    "and": "and",
-    "or": "or",
-    "not": "not",
-    "implies": "=>",
-}
-
 # Reasons recorded with an unknown outcome.
 SOLVER_UNKNOWN = "solver returned unknown"
 TIMEOUT = "timeout"
@@ -117,14 +101,13 @@ def _render_term(term) -> str:
         return format_value(term.value)
     if isinstance(term, ex.Ref):
         return format_symbol(term.property_id)
-    op = _SMT_OPS.get(term.op)
-    if op is None:
-        if term.op == "neq":
-            inner = " ".join(_render_term(a) for a in term.args)
-            return f"(not (= {inner}))"
+    symbol = ex.SYMBOLS.get(term.op)
+    if symbol is None:
         raise SolverProtocolError(f"cannot render operator {term.op!r}")
     args = " ".join(_render_term(a) for a in term.args)
-    return f"({op} {args})"
+    if term.op == "neq":
+        return f"(not (= {args}))"
+    return f"({symbol} {args})"
 
 
 def script_header(logic: str, random_seed: Optional[int]) -> list:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import fixtures
 from capplan import expr as ex
 from capplan.encoder import Assertion, Encoding, build
-from capplan.errors import DivisionByZero
 from capplan.oracle import simulate
 from capplan.planner import Happening, Plan
 from capplan.smtlib import SolverConfig, emit, format_value, solve
@@ -23,6 +22,7 @@ from capplan.synonymy import build_index
 CONFIG = SolverConfig(command=fixtures.REFSOLVER_CMD, timeout_seconds=60.0)
 
 _names = st.sampled_from(["a", "b", "c"])
+_nonzero = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
 
 
 @st.composite
@@ -31,18 +31,18 @@ def _arith(draw, depth=0):
         if draw(st.booleans()):
             return ex.ref(draw(_names))
         return ex.const(Fraction(draw(st.integers(-4, 4))))
-    op = draw(st.sampled_from(["plus", "minus", "divide"]))
+    op = draw(st.sampled_from(["plus", "minus", "times", "divide"]))
     left = draw(_arith(depth + 1))
-    if op == "divide":
+    if op in ("times", "divide"):
         # Keep the term linear: the reference solver answers `unknown`
-        # for variable divisors, as does is_linear.
-        divisor = Fraction(draw(st.integers(1, 4)) * draw(st.sampled_from([1, -1])))
-        return ex.Apply(op, (left, ex.const(divisor)))
+        # for products of variables and variable divisors, as does
+        # is_linear.
+        return ex.Apply(op, (left, ex.const(draw(_nonzero))))
     return ex.Apply(op, (left, draw(_arith(depth + 1))))
 
 
 @st.composite
-def _formula(draw):
+def _comparison(draw):
     left = draw(_arith())
     right = draw(_arith())
     op = draw(st.sampled_from(["eq", "neq", "lt", "gt", "leq", "geq"]))
@@ -52,14 +52,20 @@ def _formula(draw):
     return comparison
 
 
+@st.composite
+def _formula(draw):
+    op = draw(st.sampled_from([None, "and", "or", "implies"]))
+    if op is None:
+        return draw(_comparison())
+    arity = 2 if op == "implies" else draw(st.integers(2, 3))
+    return ex.Apply(op, tuple(draw(_comparison()) for _ in range(arity)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(_formula(), st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
 def test_translation_fidelity(term, a, b, c):
     valuation = {"a": Fraction(a), "b": Fraction(b), "c": Fraction(c)}
-    try:
-        expected = ex.evaluate(term, valuation)
-    except DivisionByZero:
-        return  # SMT division by zero is underspecified; the oracle refuses
+    expected = ex.evaluate(term, valuation)  # every divisor is a nonzero constant
     lines = ["(set-logic QF_LRA)"]
     for name, value in valuation.items():
         lines.append(f"(declare-const {name} Real)")

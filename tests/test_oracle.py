@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import fixtures
-from capplan.errors import DomainTooLarge
+from capplan.errors import DomainTooLarge, InvalidModel
 from capplan.model import Datatype, parse_model, validate
 from capplan.oracle import Violation, brute_force_plan, model_constants, simulate
 from capplan.planner import Happening, Plan
@@ -150,6 +150,24 @@ def test_simulate_reports_a_boolean_class_given_a_number_as_structure():
     assert simulate(model, index, _plan([bad])).violations == (
         Violation("Structure", 0, "lamp.on", "layer1 value of lamp.on is not Boolean"),
     )
+
+
+def test_brute_force_refuses_a_model_that_validate_rejects():
+    # SwitchOn sets the Boolean lamp.on.after through an eq constraint,
+    # which types both sides as Real, instead of through an assurance.
+    doc = fixtures.lamp_doc()
+    doc["products"][0]["properties"][1]["instanceDescriptions"] = []
+    doc["resources"] = [{"id": "Switch", "properties": [
+        {"id": "switch", "typeDescription": "td.on",
+         "instanceDescriptions": [{"expressionGoal": "actualValue", "value": True}]}]}]
+    switch_on = doc["capabilities"][0]
+    switch_on["inputs"] = [{"entity": "Switch", "properties": ["switch"]}]
+    switch_on["constraints"] = [fixtures._eq(fixtures._ref("lamp.on.after"),
+                                             fixtures._ref("switch"))]
+    model = parse_model(doc)
+    assert [d.code for d in validate(model)] == ["ExpressionDatatype"] * 2
+    with pytest.raises(InvalidModel, match=r"^ExpressionDatatype\(SwitchOn\): "):
+        brute_force_plan(model, build_index(model), 2)
 
 
 def test_model_constants():

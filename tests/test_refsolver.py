@@ -185,6 +185,30 @@ def test_push_pop():
     assert out.splitlines() == ["unsat", "sat"]
 
 
+def test_reset_forgets_everything_a_script_left():
+    # The first script leaves declarations, a push level, an assertion the
+    # second contradicts, a model and a core behind.
+    first = (
+        "(set-option :produce-unsat-cores true)(set-logic QF_LRA)"
+        "(declare-const x Real)(declare-const p Bool)"
+        "(assert (! (> x 2.0) :named low))(push 1)"
+        "(assert (! (and p (< x 1.0)) :named high))(check-sat)(get-unsat-core)"
+        "(pop 1)(check-sat)(get-model)\n"
+    )
+    second = (
+        "(set-option :produce-unsat-cores true)(set-logic QF_LRA)"
+        "(declare-const x Real)"
+        "(assert (! (< x 1.0) :named only))(check-sat)(get-model)"
+        "(push 1)(assert (! (> x 3.0) :named more))(check-sat)(get-unsat-core)\n"
+    )
+    fresh = run_inprocess(second)
+    assert fresh.splitlines()[0] == "sat" and "error" not in fresh
+    assert run_inprocess(first + "(reset)" + second) == run_inprocess(first) + fresh
+    after_reset = run_inprocess(first + "(reset)(get-model)(get-unsat-core)")
+    assert after_reset.splitlines()[-2:] == ['(error "model is not available")',
+                                             '(error "unsat core is not available")']
+
+
 def test_quoted_symbols():
     out = run_inprocess(
         "(declare-const |pos#t0#l0| Real)"

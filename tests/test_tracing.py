@@ -27,8 +27,9 @@ def _namespaces() -> dict:
             for owner in (model, oracle, planner, smtlib, smtlib.SmtProcess)}
 
 
-# A minimizing run renders each assertion when the bound that holds it is
-# checked; core minimization's trials reuse those lines in the same session.
+# A session renders every assertion it sends through planner._render_term:
+# a bound's under planner.plan, a core minimization trial's under
+# planner.minimize.
 @pytest.mark.parametrize("incremental, minimize, parent", [
     (True, False, "planner.plan"),
     (False, True, "planner.plan"),
