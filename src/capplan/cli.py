@@ -189,6 +189,7 @@ def _cmd_plan(args) -> int:
     document = {
         "noPlan": True,
         "allBoundsUnsat": outcome.all_unsat,
+        "goalUnreachable": outcome.goal_unreachable,
         "bounds": [
             {"bound": o.bound, "status": o.status,
              **({"reason": o.reason} if o.reason else {})}

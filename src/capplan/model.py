@@ -83,14 +83,13 @@ class Property:
 
 @dataclass(frozen=True, slots=True)
 class Entity:
-    """A product, resource or information entity and the properties it
-    carries.  `type_id` is the product or information type; a resource
-    has none."""
+    """A product, resource or information entity.  `type_id` is the
+    product or information type; a resource has none.  The properties it
+    carries name it as their `carrier_id`."""
 
     id: str
     kind: str  # "product" | "resource" | "information"
     type_id: Optional[str]
-    properties: tuple = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,14 +206,12 @@ def parse_model(document) -> CapabilityModel:
             if eid in entities:
                 raise DuplicateId(f"entity {eid!r} declared twice")
             type_id = _require_str(doc, type_key, f"{what} {eid}") if type_key else None
-            carried = []
             for pdoc in _as_list(doc, "properties"):
                 prop = _parse_property(pdoc, eid, type_descriptions)
                 if prop.id in properties:
                     raise DuplicateId(f"property {prop.id!r} declared twice")
                 properties[prop.id] = prop
-                carried.append(prop)
-            entities[eid] = Entity(eid, kind, type_id, tuple(carried))
+            entities[eid] = Entity(eid, kind, type_id)
 
     by_kind = {"provided": [], "required": []}
     cap_ids: set = set()

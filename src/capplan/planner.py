@@ -3,10 +3,16 @@
 One loop encodes the problem for bound k = 0, 1, ... and stops at the
 first satisfiable bound, so a returned plan always uses the smallest
 possible number of happenings (bound k means k+1 happenings; the empty
-plan lives at bound 0).  Each bound yields one SolveOutcome; a bound the
+plan lives at bound 0).  Each bound yields one BoundOutcome.  A bound the
 solver cannot decide, a timeout included, is recorded as unknown and the
 loop goes on.  When every bound fails, the last unsat core is kept so the
 failure can be mapped back to model elements.
+
+Before the loop, the relaxed planning graph of `relax` is asked once
+whether the goal can ever hold.  When its layers level off without the
+goal, no bound has a plan: every bound below the last is recorded unsat
+for GOAL_UNREACHABLE, with no encoding and no solver contact, and only
+the last bound is solved, so that its core can explain the failure.
 
 Only where a bound's outcome comes from depends on the mode.  Plain
 one-shot mode runs a fresh solver process over the emitted script: each
@@ -35,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import expr as ex
+from . import relax
 from .encoder import Encoding, VariableKey, build
 from .errors import CoresUnavailable, IncompleteModel
 from .model import CapabilityModel, require_valid, validate
@@ -69,6 +76,11 @@ class Plan:
     parameters: dict
 
 
+# The reason of a bound that was not solved because the relaxed planning
+# graph levels off without the goal.
+GOAL_UNREACHABLE = "goal unreachable at level-off"
+
+
 @dataclass(frozen=True, slots=True)
 class BoundOutcome:
     bound: int
@@ -80,13 +92,16 @@ class BoundOutcome:
 @dataclass
 class NoPlanFound:
     """Every bound up to the maximum failed.  `last_core` is the core of
-    the last unsat bound, minimized if asked; `last_encoding` is that
-    bound's encoding restricted to `last_core`, enough to explain it."""
+    the last bound the solver answered unsat, minimized if asked;
+    `last_encoding` is that bound's encoding restricted to `last_core`,
+    enough to explain it.  `goal_unreachable` is set when the relaxed
+    planning graph proves that no bound of any length has a plan."""
 
     outcomes: tuple
     all_unsat: bool
     last_core: Optional[list] = None
     last_encoding: Optional[Encoding] = field(default=None, repr=False)
+    goal_unreachable: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,17 +134,20 @@ def plan(model: CapabilityModel, max_happenings: int,
     if max_happenings < 0:
         raise ValueError("max_happenings must be >= 0")
     index = build_index(model)
+    unreachable = relax.goal_happenings(model, index) is None
+    first = max_happenings if unreachable else 0
+    outcomes = [BoundOutcome(bound, "unsat", GOAL_UNREACHABLE)
+                for bound in range(first)]
     solver = config.solver
     session = _Session(solver) if config.incremental or config.minimize else None
     # The next bound's one-shot process, started while this bound solves;
     # none past the last bound.
     ahead = None
-    outcomes = []
     last_core = None
     last_encoding = None
     encoding = None
     try:
-        for bound in range(max_happenings + 1):
+        for bound in range(first, max_happenings + 1):
             # Each bound reuses the happening blocks of the one before.
             encoding = build(model, index, bound, expanded=config.expanded,
                              previous=encoding)
@@ -169,6 +187,7 @@ def plan(model: CapabilityModel, max_happenings: int,
         all_unsat=all(o.status == "unsat" for o in outcomes),
         last_core=last_core,
         last_encoding=last_encoding,
+        goal_unreachable=unreachable,
     )
 
 

@@ -45,6 +45,8 @@ class EffectSets:
     positive: frozenset
     negative: frozenset
     numeric: frozenset
+    # The outputs referenced by a constraint that touches outputs.
+    constrained: frozenset
 
 
 # The effect kinds a class can be affected by, as named in EffectSets.
@@ -149,6 +151,7 @@ def effect_sets(model: CapabilityModel, cap: Capability) -> EffectSets:
         positive=frozenset(positive),
         negative=frozenset(negative),
         numeric=frozenset(numeric),
+        constrained=frozenset(touched_by_constraint),
     )
 
 

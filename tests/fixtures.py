@@ -348,6 +348,14 @@ def inert_goal_model(product_at=5, goal=10):
     return parse_model(merge_documents(domain, problem))
 
 
+def parked_agv_model():
+    """The AGV is parked away from the product, and nothing moves it:
+    Transport never applies, so no bound has a plan.  Relaxed planning
+    counts Transport's constraints as satisfiable and reaches the goal
+    after one happening, so the planner solves every bound."""
+    return transport_model(product_at=5, agv_at=7, goal=10)
+
+
 def contradictory_model():
     """The required capability demands an initial product position that
     contradicts the actual value."""
@@ -562,3 +570,86 @@ def random_model_doc(seed: int) -> dict:
 
 def random_model(seed: int):
     return parse_model(random_model_doc(seed))
+
+
+REAL_RELATIONS = ("eq", "neq", "lt", "gt", "leq", "geq")
+
+
+def tiny_model_doc(seed: int) -> dict:
+    """A random model of at most 3 classes and 3 provided capabilities.
+    Beyond `random_model`, it draws every relation, valueless
+    assurances, precondition constraints, effect constraints that are no
+    assignments, and constraints of the required capability."""
+    rng = random.Random(seed)
+    reals = [rng.random() < 0.6 for _ in range(rng.randint(1, 3))]  # per class
+    classes = range(len(reals))
+    doc = {
+        "typeDescriptions": [{"id": f"td{k}", "datatype": "Real" if real else "Boolean"}
+                             for k, real in enumerate(reals)],
+        "products": [],
+        "capabilities": [],
+    }
+
+    def port(name, k, *descriptions):
+        """A port of a new property of class k, on a product of its own."""
+        doc["products"].append({
+            "id": f"E.{name}", "productTypeId": f"T{k}",
+            "properties": [{"id": name, "typeDescription": f"td{k}",
+                            "instanceDescriptions": list(descriptions)}],
+        })
+        return {"entity": f"E.{name}", "properties": [name]}
+
+    def desc(goal, k, relation=None):
+        if relation is None:
+            relation = rng.choice(REAL_RELATIONS if reals[k] else ("eq", "neq"))
+        value = str(rng.randint(0, 2)) if reals[k] else rng.random() < 0.5
+        return {"expressionGoal": goal, "relation": relation, "value": value}
+
+    def maybe(goal, k):
+        return [desc(goal, k)] if rng.random() < 0.5 else []
+
+    for k in classes:
+        if rng.random() < 0.8:
+            port(f"now{k}", k, desc("actualValue", k, "eq"))
+    for j in range(rng.randint(1, 3)):
+        width = rng.randint(1, len(reals)) if rng.random() < 0.4 else 1
+        ins = rng.sample(classes, width)
+        outs = ins if rng.random() < 0.6 else rng.sample(
+            classes, rng.randint(0, min(2, len(reals))))
+        inputs = [port(f"c{j}in{k}", k, *maybe("requirement", k)) for k in ins]
+        real_inputs = [{"ref": f"c{j}in{k}"} for k in ins if reals[k]]
+        constraints, outputs = [], []
+        if real_inputs and rng.random() < 0.3:  # a precondition
+            constraints.append({"apply": rng.choice(REAL_RELATIONS), "args": [
+                rng.choice(real_inputs), {"const": str(rng.randint(0, 2))}]})
+        for k in outs:
+            name, choice = f"c{j}out{k}", rng.random()
+            if reals[k] and real_inputs and choice < 0.5:  # an effect
+                source = rng.choice(real_inputs)
+                if rng.random() < 0.5:
+                    source = {"apply": "plus", "args": [source, {"const": "1"}]}
+                relation = "eq" if choice < 0.3 else rng.choice(REAL_RELATIONS)
+                constraints.append({"apply": relation, "args": [{"ref": name}, source]})
+                outputs.append(port(name, k))
+            elif choice < 0.85:
+                outputs.append(port(name, k, desc("assurance", k)))
+            else:
+                outputs.append(port(name, k, {"expressionGoal": "assurance"}))
+        doc["capabilities"].append({"id": f"cap{j}", "kind": "provided",
+                                    "inputs": inputs, "outputs": outputs,
+                                    "constraints": constraints})
+
+    goals = rng.sample(classes, rng.randint(1, min(2, len(reals))))
+    outputs = [port(f"goal{k}", k, desc("requirement", k, rng.choice(("eq", None))))
+               for k in goals]
+    inputs, constraints = [], []
+    k = rng.choice(classes)
+    if rng.random() < 0.5:
+        inputs.append(port(f"before{k}", k, *maybe("requirement", k)))
+        real_goals = [g for g in goals if reals[g]]
+        if reals[k] and real_goals:  # relates the goal to the initial state
+            constraints.append({"apply": rng.choice(REAL_RELATIONS), "args": [
+                {"ref": f"goal{rng.choice(real_goals)}"}, {"ref": f"before{k}"}]})
+    doc["capabilities"].append({"id": "request", "kind": "required", "inputs": inputs,
+                                "outputs": outputs, "constraints": constraints})
+    return doc

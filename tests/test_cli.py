@@ -6,6 +6,7 @@ import pytest
 
 import fixtures
 from capplan.cli import main
+from capplan.planner import GOAL_UNREACHABLE
 
 SOLVER = " ".join(shlex.quote(part) for part in fixtures.REFSOLVER_CMD)
 
@@ -94,9 +95,44 @@ def test_plan_no_plan_exit_code_and_explanation(docs, capsys, tmp_path):
     document = json.loads(out)
     assert document["noPlan"] is True
     assert document["allBoundsUnsat"] is True
+    # Nothing writes the goal class: the relaxed planning graph levels off
+    # without the goal, so only the last bound is solved, and its core
+    # is the explanation.
+    assert document["goalUnreachable"] is True
+    assert document["bounds"] == [
+        {"bound": 0, "status": "unsat", "reason": GOAL_UNREACHABLE},
+        {"bound": 1, "status": "unsat", "reason": GOAL_UNREACHABLE},
+        {"bound": 2, "status": "unsat"}]
     names = {e["name"] for e in document["explanation"]["elements"]}
     assert any(n.startswith(("init.", "goal.")) for n in names)
     assert any(n.startswith(("frame.", "pre.")) for n in names)
+    assert all(e["happening"] <= 2 for e in document["explanation"]["elements"])
+
+
+def test_a_no_plan_document_says_whether_the_goal_is_unreachable(docs, capsys):
+    def no_plan(*argv):
+        code, out, _ = run(["plan", *argv, "--solver-cmd", SOLVER], capsys)
+        assert code == 2
+        return json.loads(out)
+
+    # With the AGV parked away from the product there is no plan, but only
+    # the solver can tell: every bound is solved.
+    parked = docs["dir"] / "parked.json"
+    parked.write_text(json.dumps(fixtures.transport_domain(agv_at=7)))
+    document = no_plan("--domain", str(parked), "--problem", docs["problem"],
+                       "--max-happenings", "1")
+    assert document["goalUnreachable"] is False
+    assert document["bounds"] == [{"bound": 0, "status": "unsat"},
+                                  {"bound": 1, "status": "unsat"}]
+    # Without SwitchOn nothing turns the lamp on.  At bound 0 nothing is
+    # skipped, and the flag alone says that no longer plan exists either.
+    dark = fixtures.lamp_doc()
+    dark["capabilities"] = dark["capabilities"][1:]
+    path = docs["dir"] / "dark.json"
+    path.write_text(json.dumps(dark))
+    document = no_plan("--model", str(path), "--max-happenings", "0")
+    assert document["goalUnreachable"] is True
+    assert document["bounds"] == [{"bound": 0, "status": "unsat"}]
 
 
 def test_garbled_solver_answer_exits_3(docs, capsys, tmp_path):

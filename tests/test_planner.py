@@ -21,6 +21,8 @@ from capplan.errors import (
 from capplan.model import load_model, parse_model
 from capplan.oracle import brute_force_plan, simulate
 from capplan.planner import (
+    GOAL_UNREACHABLE,
+    BoundOutcome,
     NoPlanFound,
     Plan,
     PlannerConfig,
@@ -544,7 +546,7 @@ def _start_counter(tmp_path, timeout_seconds=60.0, command=fixtures.REFSOLVER_CM
 
 def test_a_minimizing_plan_starts_one_solver_process(tmp_path):
     starts = _start_counter(tmp_path)
-    model = fixtures.inert_goal_model()
+    model = fixtures.parked_agv_model()
     result, started = starts(model, 2, minimize=True)
     assert isinstance(result, NoPlanFound) and result.all_unsat
     # Every bound is checked in one process, which goes on to minimize the
@@ -574,10 +576,45 @@ def test_a_minimizing_plan_starts_one_solver_process(tmp_path):
     assert isinstance(result, NoPlanFound) and started == 1
 
 
+@pytest.mark.parametrize("expanded", (False, True), ids=("collapsed", "expanded"))
+@pytest.mark.parametrize("incremental", (False, True), ids=("one-shot", "incremental"))
+@pytest.mark.parametrize("minimize", (False, True), ids=("plain", "minimize"))
+def test_a_model_that_levels_off_is_solved_at_its_last_bound_only(
+        expanded, incremental, minimize, tmp_path):
+    counter = tmp_path / "starts"
+    transcript = tmp_path / "transcript.smt2"
+    solver = SolverConfig(command=_counted(counter, fixtures.REFSOLVER_CMD),
+                          timeout_seconds=60.0, transcript=transcript)
+    model = fixtures.inert_goal_model()
+    result = plan(model, 2, _config(solver=solver, expanded=expanded,
+                                    incremental=incremental, minimize=minimize))
+    assert isinstance(result, NoPlanFound)
+    assert result.all_unsat and result.goal_unreachable
+    # Bounds 0 and 1 are never encoded or sent; bound 2 is solved and
+    # gives the core.
+    assert result.outcomes[:2] == (BoundOutcome(0, "unsat", GOAL_UNREACHABLE),
+                                   BoundOutcome(1, "unsat", GOAL_UNREACHABLE))
+    last = result.outcomes[2]
+    assert (last.bound, last.status, last.reason) == (2, "unsat", None) and last.core
+    assert result.last_core and result.last_encoding.bound == 2
+    # One process, none started ahead, and one check-sat for the bounds;
+    # a minimizing run's trials follow the bound's core in that process.
+    assert counter.read_text().count("started\n") == 1
+    text = transcript.read_text()
+    bounds = text.split("(get-unsat-core)")[0]
+    assert bounds.count("(check-sat)") == 1 and "#t2#" in bounds
+    if not minimize:
+        assert text.count("(check-sat)") == 1
+    if not (minimize or incremental):
+        # The one-shot script is the bound's, byte for byte.
+        script = emit(build(model, build_index(model), 2, expanded=expanded))
+        assert text.split("; --- request ---\n")[1].split("; --- response ---")[0] == script
+
+
 def test_a_minimizing_run_starts_one_process_unless_a_check_times_out(tmp_path):
     starts = _start_counter(tmp_path)
     for max_happenings in range(4):
-        result, started = starts(fixtures.inert_goal_model(), max_happenings,
+        result, started = starts(fixtures.parked_agv_model(), max_happenings,
                                  minimize=True)
         assert isinstance(result, NoPlanFound) and result.last_core, max_happenings
         assert started == 1, max_happenings
@@ -588,7 +625,7 @@ def test_a_minimizing_run_starts_one_process_unless_a_check_times_out(tmp_path):
     assert started == 1
     # Bound 0's check-sat hangs: its process is killed, and bound 1 and
     # every trial go on in the one fresh process started after it.
-    model = fixtures.inert_goal_model()
+    model = fixtures.parked_agv_model()
     check_sats = tmp_path / "check_sats"
     hang = _start_counter(tmp_path, timeout_seconds=0.5,
                           command=fixtures.faulty_refsolver(check_sats, "hang", 1))
@@ -645,13 +682,13 @@ def _not_a_program(directory):
 ORPHAN_CASES = {
     "sat": (lambda tmp: fixtures.REFSOLVER_CMD, fixtures.transport_model, 0, Plan,
             (1, 1)),
-    "unsat": (lambda tmp: fixtures.REFSOLVER_CMD, fixtures.inert_goal_model, 2,
+    "unsat": (lambda tmp: fixtures.REFSOLVER_CMD, fixtures.parked_agv_model, 2,
               NoPlanFound, (1, 3)),
     "unknown": (lambda tmp: [sys.executable, "-c", FAKE_SOLVER.format(
-        answers={"(check-sat)": "unknown"}, delay=0)], fixtures.inert_goal_model, 2,
+        answers={"(check-sat)": "unknown"}, delay=0)], fixtures.parked_agv_model, 2,
         NoPlanFound, (1, 3)),
     "timeout": (lambda tmp: [sys.executable, "-c", FAKE_SOLVER.format(
-        answers={"(check-sat)": None}, delay=0)], fixtures.inert_goal_model, 1,
+        answers={"(check-sat)": None}, delay=0)], fixtures.parked_agv_model, 1,
         NoPlanFound, (2, 2)),
     "garbage-status": (lambda tmp: [sys.executable, "-c", EXITING_SOLVER.format(
         answers={"(check-sat)": "flubber\n"})], fixtures.inert_goal_model, 0,
@@ -664,7 +701,7 @@ ORPHAN_CASES = {
     "plan-below-max": (lambda tmp: fixtures.REFSOLVER_CMD, fixtures.transport_model, 2,
                        Plan, (1, 2)),
     "garbage-status-below-max": (lambda tmp: [sys.executable, "-c", EXITING_SOLVER.format(
-        answers={"(check-sat)": "flubber\n"})], fixtures.inert_goal_model, 1,
+        answers={"(check-sat)": "flubber\n"})], fixtures.parked_agv_model, 1,
         SolverProtocolError, (1, 2)),
     "launch-error": (lambda tmp: ["/nonexistent/solver"], fixtures.transport_model, 1,
                      SolverLaunchError, (0, 0)),

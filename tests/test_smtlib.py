@@ -331,12 +331,13 @@ def _reference_minimize(encoding, core):
 def no_plan_models():
     """(label, model, last bound) of every no-plan model: the random
     fixtures without a plan of at most three happenings (bound 2), the
-    contradictory model and the inert-goal model."""
+    contradictory model, the inert-goal model and the parked-AGV model."""
     models = [(f"random {seed}", fixtures.random_model(seed), 2) for seed in range(110)]
     models = [(label, model, bound) for label, model, bound in models
               if brute_force_plan(model, build_index(model), bound + 1) is None]
     return models + [("contradictory", fixtures.contradictory_model(), 1),
-                     ("inert goal", fixtures.inert_goal_model(), 2)]
+                     ("inert goal", fixtures.inert_goal_model(), 2),
+                     ("parked AGV", fixtures.parked_agv_model(), 2)]
 
 
 @pytest.fixture(scope="module")
@@ -432,7 +433,9 @@ def _recorded(transcript: str) -> str:
 
 def test_minimization_transcript_is_one_session_that_replays(tmp_path, capsys):
     model_path = tmp_path / "model.json"
-    model_path.write_text(json.dumps(fixtures.random_model_doc(0)))
+    # A random model without a plan whose relaxed goal is reachable, so
+    # that every bound is solved.
+    model_path.write_text(json.dumps(fixtures.random_model_doc(10)))
     transcript = tmp_path / "transcript.smt2"
     solver = " ".join(shlex.quote(part) for part in fixtures.REFSOLVER_CMD)
     code = cli_main(["plan", "--model", str(model_path), "--max-happenings", "2",
@@ -446,7 +449,7 @@ def test_minimization_transcript_is_one_session_that_replays(tmp_path, capsys):
     # One check per bound first: its one-shot script's declarations not
     # sent before and its assertions, under (push 1), after the (pop 1)
     # of the bound before.
-    model = fixtures.random_model(0)
+    model = fixtures.random_model(10)
     index = build_index(model)
     expected, declared = [], set()
     for bound in range(3):
@@ -506,7 +509,7 @@ def test_a_hung_last_bound_leaves_minimization_to_a_fresh_process(tmp_path, monk
     # Bounds 0 and 1 are unsat; the last bound's check-sat, the third,
     # hangs, so bound 1's core is minimized in a fresh session, to the
     # core the fresh session gives it directly.
-    model = fixtures.inert_goal_model()
+    model = fixtures.parked_agv_model()
     encoding = build(model, build_index(model), 1)
     core = solve(emit(encoding), _config()).core
     expected = minimize_core(encoding, core, _config())
@@ -535,7 +538,7 @@ def test_an_unknown_last_bound_leaves_minimization_in_its_process(tmp_path, monk
     # every bound was checked in is still open, so bound 1's core is
     # minimized in it, to the core a fresh session gives it, and no second
     # process starts.
-    model = fixtures.inert_goal_model()
+    model = fixtures.parked_agv_model()
     encoding = build(model, build_index(model), 1)
     core = solve(emit(encoding), _config()).core
     expected = minimize_core(encoding, core, _config())

@@ -110,6 +110,7 @@ def test_effect_sets_transport():
     sets = effect_sets(model, model.provided[0])
     assert sets.eff == {"ProductPositionAfter"}
     assert sets.numeric == {"ProductPositionAfter"}
+    assert sets.constrained == {"ProductPositionAfter"}
     assert sets.positive == frozenset() and sets.negative == frozenset()
 
 
@@ -151,6 +152,7 @@ def test_effect_sets_boolean_assurance():
     assert sets.positive == {"clamped"}
     assert sets.negative == frozenset()
     assert sets.eff == {"clamped", "released"}
+    assert sets.constrained == frozenset()
 
 
 def test_effect_sets_no_outputs():
