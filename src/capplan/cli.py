@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import expr as ex
-from . import oracle
+from . import oracle, relax
 from .encoder import build
 from .errors import CapPlanError, SchemaError, SolverError
 from .model import CapabilityModel, load_model, validate
@@ -203,9 +203,11 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_dump_smt(args) -> int:
+    """Print the script a one-shot `plan` sends for the bound."""
     model = _load(args)
     index = build_index(model)
-    encoding = build(model, index, args.bound, expanded=args.expanded_synonyms)
+    encoding = build(model, index, args.bound, expanded=args.expanded_synonyms,
+                     relevant=relax.relevant_capabilities(model, index))
     text = emit(encoding, random_seed=args.seed)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

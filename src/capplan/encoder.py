@@ -8,9 +8,17 @@ afterwards.  The encoding for bound n declares variables for happenings
 1. the boundary block: initial conditions, the goal at (n,1) and, in
    expanded mode, the alignment of synonyms;
 2. one block per happening of each happening family, family by family:
-   capability semantics (pre/eff/constraint/prop) for happenings 0..n,
-   layer frame axioms for 0..n, mutexes for 0..n, Boolean continuation
-   for 1..n and Real continuation for 1..n.
+   capability semantics (pre/eff/constraint/prop, then pruned) for
+   happenings 0..n, layer frame axioms for 0..n, mutexes for 0..n,
+   Boolean continuation for 1..n and Real continuation for 1..n.
+
+build() may be given the capabilities that can reach the goal
+(relax.relevant_capabilities).  Every other provided capability is still
+declared at each happening, but is fixed false by one `pruned` unit per
+happening, and has no semantics, no mutexes and no place in any frame
+disjunction.  Fixed false, it would satisfy all of those anyway, so the
+encoding is equivalent to the full one with the `pruned` units added,
+and relax shows that these change no bound's satisfiability.
 
 Only the boundary block depends on the bound.  Its goal side (the goal
 family, plus the goal alignment in expanded mode) is marked retractable;
@@ -83,6 +91,7 @@ class _Blocks:
     """What build() reuses of an encoding for another bound."""
 
     expanded: bool
+    relevant: Optional[frozenset]  # the capabilities encoded, None for all
     refs: dict  # (kind, ident, t, layer) -> ex.Ref, shared by every term
     # Per happening family, in emission order: one tuple of assertions per
     # happening 0..bound.
@@ -140,7 +149,7 @@ class _Names:
 
 class _Builder:
     def __init__(self, model: CapabilityModel, index: SynonymyIndex,
-                 expanded: bool, refs: dict):
+                 expanded: bool, refs: dict, relevant: Optional[frozenset]):
         self.model = model
         self.index = index
         self.expanded = expanded
@@ -148,7 +157,18 @@ class _Builder:
         self.assertions: list = []
         self.variables: dict = {}
         self.refs = refs  # (kind, ident, t, layer) -> ex.Ref
+        # Every provided capability is declared; `encoded` are those with
+        # semantics, and `pruned` the ids of those fixed false.
         self.caps = tuple(sorted(model.provided, key=lambda c: c.id))
+        self.encoded, self.pruned = self.caps, ()
+        self.affecting, self.mutexes = index.affecting, index.mutexes
+        if relevant is not None:
+            self.encoded = tuple(c for c in self.caps if c.id in relevant)
+            self.pruned = tuple(c.id for c in self.caps if c.id not in relevant)
+            self.affecting = {key: tuple(c for c in caps if c in relevant)
+                              for key, caps in index.affecting.items()}
+            self.mutexes = tuple(pair for pair in index.mutexes
+                                 if pair[0] in relevant and pair[1] in relevant)
         if expanded:
             self.state_ids = tuple(sorted(model.properties))
         else:
@@ -257,7 +277,7 @@ class _Builder:
 
         # Input requirements of the required capability are initial
         # conditions; output requirements are the goal at (n,1).
-        for pid in sorted(required.inputs):
+        for pid in required.inputs:
             prop = self.model.properties[pid]
             for desc in prop.requirements():
                 if desc.value is None:
@@ -273,7 +293,7 @@ class _Builder:
             self.emit(term, "init", required.id, 0,
                       "init.constraint", required.id, i)
 
-        for pid in sorted(required.outputs):
+        for pid in required.outputs:
             prop = self.model.properties[pid]
             for desc in prop.requirements():
                 if desc.value is None:
@@ -305,7 +325,7 @@ class _Builder:
                     "eq", self.state_ref(member, 0, 0), self.state_ref(rep, 0, 0)
                 )
                 self.emit(term, "align", member, 0, "align.init", member)
-        for pid in sorted(self.model.required.outputs):
+        for pid in self.model.required.outputs:
             for syn in sorted(self.index.syn_props[pid]):
                 term = ex.apply_op(
                     "eq", self.state_ref(pid, n, 1), self.state_ref(syn, n, 1)
@@ -314,12 +334,12 @@ class _Builder:
                           retractable=True)
 
     def assert_capability_semantics(self, t: int) -> None:
-        for cap in self.caps:
+        for cap in self.encoded:
             cap_var = self.cap(cap.id, t)
             effects = self.index.effects[cap.id]
 
             pre_terms = []
-            for pid in sorted(cap.inputs):
+            for pid in cap.inputs:
                 prop = self.model.properties[pid]
                 for desc in prop.requirements():
                     if desc.value is None:
@@ -332,7 +352,7 @@ class _Builder:
                 )
 
             eff_terms = []
-            for pid in sorted(cap.outputs):
+            for pid in cap.outputs:
                 prop = self.model.properties[pid]
                 for desc in prop.assurances():
                     if desc.value is None:
@@ -372,6 +392,10 @@ class _Builder:
                         self.emit(term, "prop", cap.id, t,
                                   "prop", cap.id, pid, syn, f"t{t}")
 
+        for cap_id in self.pruned:
+            self.emit(ex.negate(self.cap(cap_id, t)), "pruned", cap_id, t,
+                      "pruned", cap_id, f"t{t}")
+
     def assert_layer_frame_axioms(self, t: int) -> None:
         for state in self.state_ids:
             cls_id = self.index.class_id(state)
@@ -379,8 +403,8 @@ class _Builder:
             before = self.state_ref(state, t, 0)
             after = self.state_ref(state, t, 1)
             if sort is Datatype.BOOLEAN:
-                pos = self.index.affecting[cls_id, "positive"]
-                neg = self.index.affecting[cls_id, "negative"]
+                pos = self.affecting[cls_id, "positive"]
+                neg = self.affecting[cls_id, "negative"]
                 self.emit(
                     ex.implies(
                         after,
@@ -396,7 +420,7 @@ class _Builder:
                     "frame", state, t, "frame", state, f"t{t}", "neg",
                 )
             else:
-                num = self.index.affecting[cls_id, "numeric"]
+                num = self.affecting[cls_id, "numeric"]
                 unchanged = ex.apply_op("eq", after, before)
                 if num:
                     term = ex.implies(
@@ -408,8 +432,8 @@ class _Builder:
 
     def assert_mutexes(self, t: int) -> None:
         # Terms are immutable, so each `(not cap)` serves every pair it is in.
-        idle = {cap.id: ex.negate(self.cap(cap.id, t)) for cap in self.caps}
-        for first, second in self.index.mutexes:
+        idle = {cap.id: ex.negate(self.cap(cap.id, t)) for cap in self.encoded}
+        for first, second in self.mutexes:
             term = ex.disj([idle[first], idle[second]])
             self.emit(term, "mutex", f"{first}|{second}", t,
                       "mutex", first, second, f"t{t}")
@@ -464,21 +488,27 @@ def select_logic(model: CapabilityModel) -> str:
 
 
 def build(model: CapabilityModel, index: SynonymyIndex, bound: int,
-          expanded: bool = False, previous: Optional[Encoding] = None) -> Encoding:
+          expanded: bool = False, previous: Optional[Encoding] = None,
+          relevant: Optional[frozenset] = None) -> Encoding:
     """Build the complete encoding for happenings 0..bound.
 
-    `previous` is an encoding that build() made from the same model, index
-    and mode, at any bound.  Its happening blocks and Ref table are reused,
-    and only the happenings it lacks are encoded; the result does not
-    depend on it.  Pure and deterministic: identical inputs produce
-    identical assertion lists, byte for byte after emission.
+    `relevant`, if given, holds the ids of the provided capabilities to
+    encode; every other one is fixed false (see the module docstring).
+    `previous` is an encoding that build() made from the same model, index,
+    mode and relevant set, at any bound.  Its happening blocks and Ref
+    table are reused, and only the happenings it lacks are encoded; the
+    result does not depend on it.  Pure and deterministic: identical
+    inputs produce identical assertion lists, byte for byte after emission.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     reused = previous.blocks if previous is not None else None
     if reused is not None and reused.expanded != expanded:
         raise ValueError("previous encoding was built in the other synonym mode")
-    builder = _Builder(model, index, expanded, dict(reused.refs) if reused else {})
+    if reused is not None and reused.relevant != relevant:
+        raise ValueError("previous encoding was built with other relevant capabilities")
+    builder = _Builder(model, index, expanded, dict(reused.refs) if reused else {},
+                       relevant)
     builder.declare_variables(bound)
     happenings = []
     for f, fill in enumerate(_HAPPENING_FAMILIES):
@@ -507,5 +537,5 @@ def build(model: CapabilityModel, index: SynonymyIndex, bound: int,
         assertions=assertions,
         classes=classes,
         unbound_inputs=unbound_inputs,
-        blocks=_Blocks(expanded, builder.refs, tuple(happenings)),
+        blocks=_Blocks(expanded, relevant, builder.refs, tuple(happenings)),
     )

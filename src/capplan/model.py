@@ -3,11 +3,13 @@
 Parses the canonical JSON-shaped document format, resolves every
 reference and validates the type invariants.  Each fact is stored once:
 products, resources and information entities are Entity records in one
-`entities` dict, told apart by `kind`, and a capability holds the sets of
-property ids its input and output ports use.  Parsing checks each port
-(a declared entity, a list of declared properties that entity carries)
-and keeps only those ids.  Models are immutable after construction and
-safe to share across threads.
+`entities` dict keyed by id, told apart by `kind`, and a capability holds
+the sorted tuples of property ids its input and output ports use.
+Parsing checks each port (a declared entity, a list of declared
+properties that entity carries) and keeps only those ids.  Within one
+parse, equal instance descriptions, equal description tuples and equal
+entity records are one object each.  Models are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -83,11 +85,11 @@ class Property:
 
 @dataclass(frozen=True, slots=True)
 class Entity:
-    """A product, resource or information entity.  `type_id` is the
-    product or information type; a resource has none.  The properties it
-    carries name it as their `carrier_id`."""
+    """A product, resource or information entity; its id is its key in
+    `CapabilityModel.entities`.  `type_id` is the product or information
+    type; a resource has none.  The properties it carries name it as
+    their `carrier_id`."""
 
-    id: str
     kind: str  # "product" | "resource" | "information"
     type_id: Optional[str]
 
@@ -95,11 +97,11 @@ class Entity:
 @dataclass(frozen=True, slots=True)
 class Capability:
     """A capability; `inputs` and `outputs` are the ids of the properties
-    its ports use."""
+    its ports use, sorted."""
 
     id: str
-    inputs: frozenset = frozenset()
-    outputs: frozenset = frozenset()
+    inputs: tuple = ()
+    outputs: tuple = ()
     constraints: tuple = ()
 
     def is_effect(self, constraint) -> bool:
@@ -108,7 +110,7 @@ class Capability:
         applies to those after it (for the required capability: the
         initial state to the goal); any other constraint is a
         precondition on the values before."""
-        return not self.outputs.isdisjoint(ex.references(constraint))
+        return not ex.references(constraint).isdisjoint(self.outputs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,7 +137,7 @@ class CapabilityModel:
         """The capability's input properties, sorted, that no requirement
         and no actual value fixes: the plan chooses their values."""
         return tuple(
-            pid for pid in sorted(capability.inputs)
+            pid for pid in capability.inputs
             if not self.properties[pid].requirements()
             and not self.properties[pid].actual_values()
         )
@@ -198,20 +200,25 @@ def parse_model(document) -> CapabilityModel:
             raise DuplicateId(f"type description {td.id!r} declared twice")
         type_descriptions[td.id] = td
 
+    # The records this parse shares, by keys of different shapes: an
+    # entity's is (kind, type id), a description's its document fields
+    # with the value's type, and a description tuple's the ids of its
+    # members.
+    shared: dict = {}
     properties: dict = {}
     entities: dict = {}
     for key, kind, what, type_key in _ENTITY_KINDS:
         for doc in _as_list(document, key):
-            eid = _require_id(doc, what)
+            eid = _require_str(doc, "id", what)
             if eid in entities:
                 raise DuplicateId(f"entity {eid!r} declared twice")
-            type_id = _require_str(doc, type_key, f"{what} {eid}") if type_key else None
+            type_id = _require_str(doc, type_key, what, eid) if type_key else None
             for pdoc in _as_list(doc, "properties"):
-                prop = _parse_property(pdoc, eid, type_descriptions)
+                prop = _parse_property(pdoc, eid, type_descriptions, shared)
                 if prop.id in properties:
                     raise DuplicateId(f"property {prop.id!r} declared twice")
                 properties[prop.id] = prop
-            entities[eid] = Entity(eid, kind, type_id)
+            entities[eid] = shared.setdefault((kind, type_id), Entity(kind, type_id))
 
     by_kind = {"provided": [], "required": []}
     cap_ids: set = set()
@@ -244,18 +251,16 @@ def _as_list(doc, key):
     return value
 
 
-def _require_id(doc, what) -> str:
-    return _require_str(doc, "id", what)
-
-
-def _require_str(doc, key, what) -> str:
-    if not isinstance(doc, dict) or not isinstance(doc.get(key), str) or not doc[key]:
-        raise SchemaError(f"{what} needs a non-empty string {key!r}")
-    return doc[key]
+def _require_str(doc, key, *what) -> str:
+    """doc[key], a non-empty string; `what` names doc in the message."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(value, str) or not value:
+        raise SchemaError(f"{' '.join(what)} needs a non-empty string {key!r}")
+    return value
 
 
 def _parse_type_description(doc) -> TypeDescription:
-    tid = _require_id(doc, "type description")
+    tid = _require_str(doc, "id", "type description")
     raw = doc.get("datatype")
     try:
         datatype = Datatype(raw)
@@ -266,35 +271,55 @@ def _parse_type_description(doc) -> TypeDescription:
     )
 
 
-def _parse_property(doc, carrier_id, type_descriptions) -> Property:
-    pid = _require_id(doc, "property")
-    td_id = _require_str(doc, "typeDescription", f"property {pid}")
+def _parse_property(doc, carrier_id, type_descriptions, shared: dict) -> Property:
+    pid = _require_str(doc, "id", "property")
+    td_id = _require_str(doc, "typeDescription", "property", pid)
     if td_id not in type_descriptions:
         raise DanglingReference(f"property {pid}: unknown type description {td_id!r}")
     descriptions = []
     for idoc in _as_list(doc, "instanceDescriptions"):
-        descriptions.append(_parse_instance_description(idoc, pid))
+        if not isinstance(idoc, dict):
+            raise SchemaError(f"property {pid}: instance description must be an object")
+        value = idoc.get("value")
+        # The value's type is part of each key: true == 1, and both hash
+        # alike, but one is a Boolean and the other a Real.
+        key = (idoc.get("expressionGoal"), idoc.get("relation", "eq"), type(value), value)
+        try:
+            desc = shared.get(key)
+        except TypeError:
+            # A list or an object where a string or a number belongs:
+            # _parse_instance_description rejects it.
+            desc = None
+        if desc is None:
+            desc = shared[key] = _parse_instance_description(idoc, pid)
+        descriptions.append(desc)
+    descriptions = tuple(descriptions)
+    if descriptions:
+        descriptions = shared.setdefault(tuple(map(id, descriptions)), descriptions)
     return Property(
         id=pid,
         type_description=type_descriptions[td_id],
         carrier_id=carrier_id,
-        instance_descriptions=tuple(descriptions),
+        instance_descriptions=descriptions,
     )
 
 
+_GOALS = {goal.value: goal for goal in ExpressionGoal}
+_RELATIONS = {relation.value: relation for relation in Relation}
+
+
 def _parse_instance_description(doc, pid) -> InstanceDescription:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"property {pid}: instance description must be an object")
     try:
-        goal = ExpressionGoal(doc.get("expressionGoal"))
-    except ValueError:
+        goal = _GOALS[doc.get("expressionGoal")]
+    except (KeyError, TypeError):
         raise SchemaError(
             f"property {pid}: expressionGoal must be requirement/assurance/actualValue"
-        )
+        ) from None
     try:
-        relation = Relation(doc.get("relation", "eq"))
-    except ValueError:
-        raise SchemaError(f"property {pid}: unknown relation {doc.get('relation')!r}")
+        relation = _RELATIONS[doc.get("relation", "eq")]
+    except (KeyError, TypeError):
+        raise SchemaError(
+            f"property {pid}: unknown relation {doc.get('relation')!r}") from None
     value = doc.get("value")
     if value is not None and not isinstance(value, bool):
         value = ex.parse_number(value)
@@ -303,15 +328,15 @@ def _parse_instance_description(doc, pid) -> InstanceDescription:
 
 def _parse_capability(doc, entities, properties) -> tuple:
     """The capability's kind, "provided" or "required", and the capability."""
-    cid = _require_id(doc, "capability")
+    cid = _require_str(doc, "id", "capability")
     kind = doc.get("kind")
     if kind not in ("provided", "required"):
         raise SchemaError(f"capability {cid}: kind must be provided or required")
 
-    def parse_ports(key) -> frozenset:
+    def parse_ports(key) -> tuple:
         used = set()
         for pdoc in _as_list(doc, key):
-            eid = _require_str(pdoc, "entity", f"capability {cid} {key} entry")
+            eid = _require_str(pdoc, "entity", "capability", cid, key, "entry")
             if eid not in entities:
                 raise DanglingReference(f"capability {cid}: unknown entity {eid!r}")
             prop_ids = pdoc.get("properties", [])
@@ -320,16 +345,17 @@ def _parse_capability(doc, entities, properties) -> tuple:
             for prop_id in prop_ids:
                 if not isinstance(prop_id, str):
                     raise SchemaError(f"capability {cid}: {prop_id!r} is not a string")
-                if prop_id not in properties:
+                prop = properties.get(prop_id)
+                if prop is None:
                     raise DanglingReference(
                         f"capability {cid}: unknown property {prop_id!r}"
                     )
-                if properties[prop_id].carrier_id != eid:
+                if prop.carrier_id != eid:
                     raise SchemaError(
                         f"capability {cid}: property {prop_id!r} is not carried by {eid!r}"
                     )
             used.update(prop_ids)
-        return frozenset(used)
+        return tuple(sorted(used))
 
     constraints = tuple(
         ex.parse_expression(cdoc) for cdoc in _as_list(doc, "constraints")
@@ -387,13 +413,13 @@ def validate(model: CapabilityModel) -> list:
                     f"ordering relation {desc.relation.value} on a boolean property",
                 )
 
-    for entity in model.entities.values():
+    for eid, entity in model.entities.items():
         if entity.kind != "resource" and not entity.type_id:
             key = "productTypeId" if entity.kind == "product" else "typeId"
-            flag("EmptyProductType", entity.id, f"{key} must be non-empty")
+            flag("EmptyProductType", eid, f"{key} must be non-empty")
 
     for cap in model.capabilities():
-        attached = cap.inputs | cap.outputs
+        attached = {*cap.inputs, *cap.outputs}
         for ch in _FORBIDDEN_ID_CHARS:
             if ch in cap.id:
                 flag("IdCharset", cap.id, f"capability id contains forbidden {ch!r}")

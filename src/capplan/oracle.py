@@ -112,7 +112,7 @@ def default_value_domain(model: CapabilityModel, max_happenings: int) -> tuple:
 _UNCHANGED = ex.apply_op("eq", ex.ref("after"), ex.ref("before"))
 
 
-def _places(term, index, outputs=frozenset()) -> tuple:
+def _places(term, index, outputs=()) -> tuple:
     return tuple(
         (pid, index.class_id(pid), pid in outputs) for pid in ex.references(term)
     )
@@ -176,11 +176,11 @@ def _checks(model: CapabilityModel, index: SynonymyIndex) -> _Checks:
     ]
     init += [
         value("InitMismatch", pid, "required initial condition fails", pid, False, desc)
-        for pid in sorted(required.inputs) for desc in requirements(pid)
+        for pid in required.inputs for desc in requirements(pid)
     ]
     goal = [
         value("GoalFailed", pid, "goal requirement fails", pid, True, desc)
-        for pid in sorted(required.outputs) for desc in requirements(pid)
+        for pid in required.outputs for desc in requirements(pid)
     ]
     outputs = required.outputs
     for i, term in enumerate(required.constraints):
@@ -196,14 +196,14 @@ def _checks(model: CapabilityModel, index: SynonymyIndex) -> _Checks:
         outputs = cap.outputs
         checks = [
             value(_PRE, cap.id, f"requirement on {pid} fails", pid, False, desc)
-            for pid in sorted(cap.inputs) for desc in requirements(pid)
+            for pid in cap.inputs for desc in requirements(pid)
         ]
         checks += [
             (_EFF if cap.is_effect(term) else _PRE, cap.id, f"constraint {i} fails",
              term, _places(term, index, outputs))
             for i, term in enumerate(cap.constraints)
         ]
-        for pid in sorted(outputs):
+        for pid in outputs:
             cid = index.class_id(pid)
             for desc in model.properties[pid].assurances():
                 if desc.value is None:
@@ -345,9 +345,8 @@ def _assignment(constraint, outputs):
     if isinstance(constraint, ex.Apply) and constraint.op == "eq":
         left, right = constraint.args
         for target, formula in ((left, right), (right, left)):
-            if isinstance(target, ex.Ref) and target.property_id in outputs and not (
-                ex.references(formula) & outputs
-            ):
+            if (isinstance(target, ex.Ref) and target.property_id in outputs
+                    and ex.references(formula).isdisjoint(outputs)):
                 return target.property_id, formula
     return None
 
@@ -362,7 +361,7 @@ def _moves(model, index, cap: Capability) -> tuple:
     other effect constraint."""
     outputs = cap.outputs
     fixed, opened = [], set()
-    for pid in sorted(outputs):
+    for pid in outputs:
         cid = index.class_id(pid)
         for desc in model.properties[pid].assurances():
             if desc.value is None or desc.relation.value == "eq":

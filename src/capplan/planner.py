@@ -13,6 +13,8 @@ whether the goal can ever hold.  When its layers level off without the
 goal, no bound has a plan: every bound below the last is recorded unsat
 for GOAL_UNREACHABLE, with no encoding and no solver contact, and only
 the last bound is solved, so that its core can explain the failure.
+`relax` also gives, once, the capabilities that can reach the goal: every
+bound encodes only those, and fixes the others false.
 
 Only where a bound's outcome comes from depends on the mode.  Plain
 one-shot mode runs a fresh solver process over the emitted script: each
@@ -135,6 +137,7 @@ def plan(model: CapabilityModel, max_happenings: int,
         raise ValueError("max_happenings must be >= 0")
     index = build_index(model)
     unreachable = relax.goal_happenings(model, index) is None
+    relevant = relax.relevant_capabilities(model, index)
     first = max_happenings if unreachable else 0
     outcomes = [BoundOutcome(bound, "unsat", GOAL_UNREACHABLE)
                 for bound in range(first)]
@@ -150,7 +153,7 @@ def plan(model: CapabilityModel, max_happenings: int,
         for bound in range(first, max_happenings + 1):
             # Each bound reuses the happening blocks of the one before.
             encoding = build(model, index, bound, expanded=config.expanded,
-                             previous=encoding)
+                             previous=encoding, relevant=relevant)
             if session is None:
                 # A process is `ahead`, for the finally clause to reap,
                 # until the next bound's has started.

@@ -29,9 +29,21 @@ a Real class that may hold any value; a Boolean class at ⊤ holds
 
 Every state a plan of h happenings reaches is covered by layer h, so when
 the layers level off without the goal, or there is no initial state, no
-bound of any length has a plan.  The module reads the model and the
-synonymy index only: it imports neither the oracle, which stays
-independent ground truth, nor the encoder.
+bound of any length has a plan.
+
+`relevant_capabilities` is the backward rule of Nebel, Dimopoulos &
+Koehler, "Ignoring Irrelevant Facts and Operators in Plan Generation"
+(ECP 1997), over the same classes: a capability is relevant when it
+writes a class the goal, or a relevant capability, touches.  An
+irrelevant capability writes only classes that nothing relevant reads
+and that only irrelevant capabilities write.  So in any plan it can be
+left out, with those classes held at their initial values: fixing it
+false changes no minimal bound, and a minimal unsat core never needs
+that fact.
+
+The module reads the model and the synonymy index only: it imports
+neither the oracle, which stays independent ground truth, nor the
+encoder.
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ from __future__ import annotations
 import operator
 from typing import Optional
 
+from . import expr as ex
 from .model import Capability, CapabilityModel, Datatype, Relation
 from .synonymy import SynonymyIndex
 
@@ -80,6 +93,40 @@ def goal_happenings(model: CapabilityModel, index: SynonymyIndex) -> Optional[in
             return None
 
 
+def relevant_capabilities(model: CapabilityModel, index: SynonymyIndex) -> frozenset:
+    """The ids of the provided capabilities that can matter to the goal.
+
+    The fixpoint starts from the classes of the required capability's
+    outputs and of the properties its output-touching constraints read.
+    A provided capability is relevant when `index.effects[cap].eff`
+    writes a relevant class, and each class it touches (inputs, outputs,
+    constraint references) becomes relevant."""
+    required = model.required
+    goal = set(required.outputs)
+    for constraint in required.constraints:
+        if required.is_effect(constraint):
+            goal |= ex.references(constraint)
+    writers: dict = {}
+    for cap in model.provided:
+        for pid in index.effects[cap.id].eff:
+            writers.setdefault(index.class_id(pid), []).append(cap)
+    classes = {index.class_id(pid) for pid in goal}
+    pending = list(classes)
+    relevant = set()
+    while pending:
+        for cap in writers.get(pending.pop(), ()):
+            if cap.id in relevant:
+                continue
+            relevant.add(cap.id)
+            touched = {*cap.inputs, *cap.outputs}
+            for constraint in cap.constraints:
+                touched |= ex.references(constraint)
+            for cid in {index.class_id(pid) for pid in touched} - classes:
+                classes.add(cid)
+                pending.append(cid)
+    return frozenset(relevant)
+
+
 def _top(datatype: Datatype) -> frozenset:
     return frozenset((True, False)) if datatype is Datatype.BOOLEAN else frozenset((_ANY,))
 
@@ -88,10 +135,10 @@ def _initial_layer(model: CapabilityModel, index: SynonymyIndex) -> Optional[dic
     """Layer 0 as class id -> set of values, or None for contradictory
     pins."""
     pins: dict = {}
-    required = model.required
+    required_inputs = set(model.required.inputs)
     for prop in model.all_properties():
         descriptions = prop.actual_values()
-        if prop.id in required.inputs:
+        if prop.id in required_inputs:
             descriptions += prop.requirements()
         for desc in descriptions:
             if desc.value is not None and desc.relation is Relation.EQ:
@@ -102,12 +149,12 @@ def _initial_layer(model: CapabilityModel, index: SynonymyIndex) -> Optional[dic
             for cls in index.classes}
 
 
-def _needs(model: CapabilityModel, index: SynonymyIndex, ports: frozenset) -> tuple:
+def _needs(model: CapabilityModel, index: SynonymyIndex, ports: tuple) -> tuple:
     """The valued requirements of the properties `ports`, as (class id,
     relation, value)."""
     return tuple(
         (index.class_id(pid), _HOLDS[desc.relation], desc.value)
-        for pid in sorted(ports)
+        for pid in ports
         for desc in model.properties[pid].requirements() if desc.value is not None
     )
 

@@ -126,7 +126,7 @@ def effect_sets(model: CapabilityModel, cap: Capability) -> EffectSets:
     touched_by_constraint: set = set()
     for constraint in cap.constraints:
         if cap.is_effect(constraint):
-            touched_by_constraint |= ex.references(constraint) & outputs
+            touched_by_constraint.update(ex.references(constraint).intersection(outputs))
 
     eff: set = set()
     positive: set = set()
@@ -178,7 +178,7 @@ def _affecting(classes, effects: dict) -> dict:
 def _mutexes(model: CapabilityModel, class_of: dict) -> tuple:
     caps = sorted(model.provided, key=lambda c: c.id)
     touched = [
-        {class_of[p].class_id for p in cap.inputs | cap.outputs} for cap in caps
+        {class_of[p].class_id for p in cap.inputs + cap.outputs} for cap in caps
     ]
     return tuple(
         (first.id, caps[j].id)

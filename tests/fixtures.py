@@ -163,6 +163,30 @@ def transport_domain(product_at=5, agv_at=5) -> dict:
     }
 
 
+def with_distractor(domain: dict) -> dict:
+    """The domain plus Blink, which reads the AGV's position and switches
+    on a beacon that no goal reads: a capability that cannot reach the
+    goal, though it shares a class, and so a mutex, with Transport."""
+    flag = {"expressionGoal": "actualValue", "relation": "eq", "value": False}
+    on = {"expressionGoal": "assurance", "relation": "eq", "value": True}
+    return {
+        **domain,
+        "typeDescriptions": domain["typeDescriptions"] + [
+            {"id": "td.beaconOn", "datatype": "Boolean"}],
+        "products": domain["products"] + [{
+            "id": "Beacon", "productTypeId": "BeaconType", "properties": [
+                {"id": "BeaconOn", "typeDescription": "td.beaconOn",
+                 "instanceDescriptions": [flag]},
+                {"id": "BeaconOnAfter", "typeDescription": "td.beaconOn",
+                 "instanceDescriptions": [on]}]}],
+        "capabilities": domain["capabilities"] + [{
+            "id": "Blink", "kind": "provided",
+            "inputs": [{"entity": "AGV", "properties": ["AGVPosition"]},
+                       {"entity": "Beacon", "properties": ["BeaconOn"]}],
+            "outputs": [{"entity": "Beacon", "properties": ["BeaconOnAfter"]}]}],
+    }
+
+
 def transport_problem(goal=10, require_input_at=None) -> dict:
     before_descriptions = []
     if require_input_at is not None:

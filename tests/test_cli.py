@@ -177,6 +177,31 @@ def test_dump_smt_deterministic(docs, capsys):
     assert first == second
 
 
+def test_dump_smt_prints_the_script_plan_sends(docs, capsys, tmp_path):
+    # Blink cannot reach the goal: it is fixed false, with no mutex.
+    domain = tmp_path / "distractor.json"
+    domain.write_text(json.dumps(fixtures.with_distractor(fixtures.transport_domain())))
+    argv = ["dump-smt", "--domain", str(domain), "--problem", docs["problem"],
+            "--bound", "1"]
+    code, script, _ = run(argv, capsys)
+    assert code == 0
+    assert "(declare-const |Blink#t1| Bool)" in script
+    assert [line for line in script.splitlines() if "Blink" in line
+            and not line.startswith("(declare-const ")] == [
+        f"(assert (! (not |Blink#t{t}|) :named pruned.Blink.t{t}))" for t in range(2)]
+    # The script a one-shot plan() sends for bound 0, where the plan is, as
+    # its transcript records it.
+    transcript = tmp_path / "transcript.smt2"
+    code, _, _ = run(["plan", "--domain", str(domain), "--problem", docs["problem"],
+                      "--max-happenings", "1", "--solver-cmd", SOLVER,
+                      "--transcript", str(transcript)], capsys)
+    assert code == 0
+    requests = [piece.split("; --- response ---")[0]
+                for piece in transcript.read_text().split("; --- request ---\n")[1:]]
+    argv[-1] = "0"
+    assert requests[0] == run(argv, capsys)[1]
+
+
 def test_dump_smt_empty_model(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"capabilities": [{"id": "req", "kind": "required"}]}))

@@ -9,6 +9,7 @@ import fixtures
 from capplan import expr as ex
 from capplan.encoder import build
 from capplan.model import Datatype, merge_documents, parse_model
+from capplan.relax import relevant_capabilities
 from capplan.smtlib import emit
 from capplan.synonymy import build_index
 
@@ -155,6 +156,62 @@ def test_previous_encoding_of_the_other_mode_is_rejected():
     index = build_index(model)
     with pytest.raises(ValueError):
         build(model, index, 1, expanded=True, previous=build(model, index, 0))
+
+
+def _distractor_model():
+    return parse_model(merge_documents(
+        fixtures.with_distractor(fixtures.transport_domain()),
+        fixtures.transport_problem()))
+
+
+@pytest.mark.parametrize("expanded", [False, True])
+def test_a_pruned_capability_is_declared_and_only_fixed_false(expanded):
+    model = _distractor_model()
+    index = build_index(model)
+    relevant = relevant_capabilities(model, index)
+    assert relevant == {"Transport"} and index.mutexes == (("Blink", "Transport"),)
+    full = build(model, index, 2, expanded)
+    pruned = build(model, index, 2, expanded, relevant=relevant)
+    # Every capability is declared at every happening, as without pruning.
+    assert pruned.variables == full.variables
+    naming = [a for a in pruned.assertions if any(
+        symbol.startswith("Blink#") for symbol in ex.references(a.term))]
+    assert [(a.name, a.family, a.element_id, a.t, a.term) for a in naming] == [
+        (f"pruned.Blink.t{t}", "pruned", "Blink", t, ex.negate(ex.ref(f"Blink#t{t}")))
+        for t in range(3)]
+    # The rest is the full encoding without what names Blink: its effect,
+    # its mutex with Transport and its disjunct in the beacon's frames.
+    kept = {a.name: a.term for a in full.assertions
+            if not any(s.startswith("Blink#") for s in ex.references(a.term))}
+    rest = {a.name: a.term for a in pruned.assertions if a not in naming}
+    assert kept.items() <= rest.items()
+    states = ("BeaconOn", "BeaconOnAfter") if expanded else ("BeaconOn",)
+    assert rest.keys() - kept.keys() == {
+        f"frame.{state}.t{t}.pos" for state in states for t in range(3)}
+    assert {name.split(".")[0] for name in full.by_name.keys() - kept.keys()} == (
+        {"eff", "frame", "mutex", "prop"} if expanded else {"eff", "frame", "mutex"})
+
+
+def test_encoding_every_capability_is_the_default_encoding():
+    for model in (_distractor_model(), fixtures.random_model(3), _distinct_model()):
+        index = build_index(model)
+        everything = frozenset(cap.id for cap in model.provided)
+        for expanded in (False, True):
+            assert emit(build(model, index, 2, expanded, relevant=everything)) == emit(
+                build(model, index, 2, expanded))
+
+
+def test_previous_encoding_of_another_relevant_set_is_rejected():
+    model = _distractor_model()
+    index = build_index(model)
+    relevant = relevant_capabilities(model, index)
+    with pytest.raises(ValueError):
+        build(model, index, 1, previous=build(model, index, 0), relevant=relevant)
+    with pytest.raises(ValueError):
+        build(model, index, 1, previous=build(model, index, 0, relevant=relevant))
+    reused = build(model, index, 2, previous=build(model, index, 0, relevant=relevant),
+                   relevant=relevant)
+    assert emit(reused) == emit(build(model, index, 2, relevant=relevant))
 
 
 def test_expanded_variable_count():

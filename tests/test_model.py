@@ -6,6 +6,10 @@ import fixtures
 from capplan.errors import DanglingReference, DuplicateId, SchemaError
 from capplan.model import (
     Datatype,
+    Entity,
+    ExpressionGoal,
+    InstanceDescription,
+    Relation,
     merge_documents,
     parse_model,
     validate,
@@ -226,3 +230,92 @@ def test_instance_values_are_exact():
     model = fixtures.transport_model(product_at="2.5")
     prop = model.properties["CurrentProductPosition"]
     assert prop.actual_values()[0].value == Fraction(5, 2)
+
+
+def _product(eid, type_id, *properties):
+    return {"id": eid, "productTypeId": type_id, "properties": [
+        {"id": pid, "typeDescription": td, "instanceDescriptions": descriptions}
+        for pid, td, descriptions in properties]}
+
+
+def test_ports_are_sorted_tuples():
+    doc = _tiny_doc([])
+    doc["products"][0]["properties"] += [
+        {"id": pid, "typeDescription": "td.flag"} for pid in ("p.c", "p.a")]
+    doc["capabilities"][0]["inputs"] = [
+        {"entity": "P", "properties": ["p.c", "p.a"]},
+        {"entity": "P", "properties": ["p.flag", "p.a"]}]
+    model = parse_model(doc)
+    assert model.required.inputs == ("p.a", "p.c", "p.flag")
+    assert model.required.outputs == ("p.flag",)
+    for cap in fixtures.drive_transport_model().capabilities():
+        for ports in (cap.inputs, cap.outputs):
+            assert type(ports) is tuple and list(ports) == sorted(set(ports))
+
+
+def test_equal_descriptions_are_one_object_per_parse():
+    one = {"expressionGoal": "requirement", "value": "1"}
+    doc = {
+        "typeDescriptions": [{"id": "td.x", "datatype": "Real"}],
+        "products": [
+            _product("A", "T", ("a.x", "td.x", [one]), ("a.y", "td.x", [dict(one)])),
+            # The relation written out: the same document fields.
+            _product("B", "T", ("b.x", "td.x", [dict(one, relation="eq")])),
+            _product("C", "U", ("c.x", "td.x", [one, one])),
+        ],
+        "capabilities": [{"id": "req", "kind": "required", "inputs": [],
+                          "outputs": [{"entity": "A", "properties": ["a.x"]}]}],
+    }
+    model = parse_model(doc)
+    first = model.properties["a.x"].instance_descriptions
+    assert first == (InstanceDescription(ExpressionGoal.REQUIREMENT, Relation.EQ,
+                                         Fraction(1)),)
+    assert model.properties["a.y"].instance_descriptions is first
+    assert model.properties["b.x"].instance_descriptions is first
+    assert model.properties["c.x"].instance_descriptions == (first[0], first[0])
+    # Entities of one kind and type are one record; the key is the id.
+    assert model.entities["A"] is model.entities["B"] == Entity("product", "T")
+    assert model.entities["C"] == Entity("product", "U")
+    # Nothing is shared across parses.
+    assert parse_model(doc).properties["a.x"].instance_descriptions is not first
+
+
+def test_a_boolean_true_and_a_real_one_stay_apart():
+    # true == 1 == Fraction(1), and all three hash alike.
+    doc = {
+        "typeDescriptions": [{"id": "td.on", "datatype": "Boolean"},
+                             {"id": "td.x", "datatype": "Real"}],
+        "products": [_product("P", "T",
+                              ("p.on", "td.on", [{"expressionGoal": "actualValue",
+                                                  "value": True}]),
+                              ("p.x", "td.x", [{"expressionGoal": "actualValue",
+                                                "value": 1}]),
+                              ("p.y", "td.x", [{"expressionGoal": "actualValue",
+                                                "value": "1"}]))],
+        "capabilities": [{"id": "req", "kind": "required", "inputs": [],
+                          "outputs": [{"entity": "P", "properties": ["p.on"]}]}],
+    }
+    model = parse_model(doc)
+    [on] = model.properties["p.on"].actual_values()
+    assert on.value is True
+    for pid in ("p.x", "p.y"):
+        [x] = model.properties[pid].actual_values()
+        assert type(x.value) is Fraction and x.value == 1
+    assert validate(model) == []
+
+
+def test_an_empty_type_is_named_by_each_entity_id_sharing_the_record():
+    doc = {
+        "typeDescriptions": [{"id": "td.x", "datatype": "Real"}],
+        "products": [_product("A", "T"), _product("B", "T")],
+        "resources": [{"id": "R"}],
+        "capabilities": [{"id": "req", "kind": "required"}],
+    }
+    model = parse_model(doc)
+    shared = model.entities["A"]
+    assert model.entities["B"] is shared
+    empty = replace(shared, type_id="")
+    diagnostics = validate(replace(model, entities={**model.entities, "A": empty,
+                                                    "B": empty}))
+    assert [(d.code, d.element_id) for d in diagnostics] == [
+        ("EmptyProductType", "A"), ("EmptyProductType", "B")]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fixtures
-from capplan import expr as ex
+from capplan import expr as ex, relax
 from capplan.encoder import build
 from capplan.errors import (
     CoresUnavailable,
@@ -607,7 +607,9 @@ def test_a_model_that_levels_off_is_solved_at_its_last_bound_only(
         assert text.count("(check-sat)") == 1
     if not (minimize or incremental):
         # The one-shot script is the bound's, byte for byte.
-        script = emit(build(model, build_index(model), 2, expanded=expanded))
+        index = build_index(model)
+        script = emit(build(model, index, 2, expanded=expanded,
+                            relevant=relax.relevant_capabilities(model, index)))
         assert text.split("; --- request ---\n")[1].split("; --- response ---")[0] == script
 
 

@@ -1,6 +1,7 @@
-"""The relaxed planning graph (capplan.relax) against the oracle, and the
-bounds the planner skips on its word."""
+"""The relaxed planning graph (capplan.relax) against the oracle, the
+bounds the planner skips on its word, and the capabilities it prunes."""
 
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -11,12 +12,17 @@ from capplan import planner
 from capplan.encoder import build
 from capplan.model import merge_documents, parse_model
 from capplan.oracle import brute_force_plan
-from capplan.planner import GOAL_UNREACHABLE, PlannerConfig, plan
-from capplan.relax import goal_happenings
+from capplan.planner import GOAL_UNREACHABLE, PlannerConfig, minimize_core, plan
+from capplan.relax import goal_happenings, relevant_capabilities
 from capplan.smtlib import SolverConfig, emit, parse_answer
 from capplan.synonymy import build_index
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+# Of the fixtures, and of the no-plan cases, those with a capability that
+# cannot reach the goal.
+PRUNED_FIXTURES = 71
+PRUNED_NO_PLAN_CASES = 70
 
 
 def _named_models() -> dict:
@@ -186,3 +192,130 @@ def test_every_skipped_bound_of_the_benchmark_requests_is_unsat(monkeypatch):
     # 21 suite requests skip bounds 0 and 1, 7 explain requests bound 0.
     assert len(skipped) == 21 * 2 + 7
     _assert_unsat(skipped)
+
+
+# -- goal relevance ----------------------------------------------------------------
+
+
+def _fixture_models() -> list:
+    """(label, model) of the named models and the 110 random fixtures."""
+    return list(_named_models().items()) + [
+        (f"random {seed}", fixtures.random_model(seed)) for seed in range(110)]
+
+
+def _status(encoding) -> str:
+    return parse_answer(fixtures.run_inprocess(emit(encoding))).status
+
+
+def _assert_pruning_keeps_answers(label, model) -> bool:
+    """At bounds 0-2, in both synonym modes, the encoding of the relevant
+    capabilities answers as the full one does, in this process.  Returns
+    whether a capability was pruned; if none was, the scripts are equal."""
+    index = build_index(model)
+    relevant = relevant_capabilities(model, index)
+    pruning = len(relevant) < len(model.provided)
+    for expanded in (False, True):
+        full = pruned = None
+        for bound in range(3):
+            full = build(model, index, bound, expanded, previous=full)
+            pruned = build(model, index, bound, expanded, previous=pruned,
+                           relevant=relevant)
+            if pruning:
+                assert _status(pruned) == _status(full), (label, expanded, bound)
+            else:
+                assert emit(pruned) == emit(full), (label, expanded, bound)
+    return pruning
+
+
+def test_the_relevance_rule():
+    # Transport writes the goal class and reads the AGV's position; Blink
+    # reads it too, but writes only a beacon nothing relevant reads.
+    model = parse_model(merge_documents(
+        fixtures.with_distractor(fixtures.transport_domain()),
+        fixtures.transport_problem()))
+    assert relevant_capabilities(model, build_index(model)) == {"Transport"}
+    # DriveTo becomes relevant through the AGV's position, which Transport
+    # reads: two steps back from the goal.
+    chained = fixtures.drive_transport_model()
+    assert relevant_capabilities(chained, build_index(chained)) == {"DriveTo", "Transport"}
+    # Nothing writes the goal class of the inert model.
+    inert = fixtures.inert_goal_model()
+    assert relevant_capabilities(inert, build_index(inert)) == frozenset()
+    # An output with no effect writes nothing.
+    doc = fixtures.lamp_doc()
+    _assurance(doc)
+    lamp = parse_model(doc)
+    assert relevant_capabilities(lamp, build_index(lamp)) == frozenset()
+
+
+def test_pruning_keeps_every_answer_of_the_fixtures():
+    pruned = [label for label, model in _fixture_models()
+              if _assert_pruning_keeps_answers(label, model)]
+    assert "inert goal" in pruned and len(pruned) == PRUNED_FIXTURES
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 10**6))
+def test_pruning_keeps_every_answer_of_a_tiny_model(seed):
+    _assert_pruning_keeps_answers(f"tiny {seed}", parse_model(fixtures.tiny_model_doc(seed)))
+
+
+def _answered_here(monkeypatch) -> None:
+    """One-shot plan() scripts are answered in this process."""
+    monkeypatch.setattr(planner, "start", lambda solver: None)
+    monkeypatch.setattr(planner, "solve", lambda text, config, process=None:
+                        parse_answer(fixtures.run_inprocess(text)))
+
+
+def test_the_oracle_and_the_pruning_planner_agree_on_the_minimal_bound(monkeypatch):
+    _answered_here(monkeypatch)
+    config = PlannerConfig(solver=SolverConfig(command=fixtures.REFSOLVER_CMD))
+    for label, model in _fixture_models():
+        index = build_index(model)
+        found = brute_force_plan(model, index, 3)
+        expected = found and found.bound_happenings
+        result = plan(model, 2, config)
+        assert getattr(result, "bound_happenings", None) == expected, label
+        # The oracle finds the same on the model without the irrelevant
+        # capabilities.
+        relevant = relevant_capabilities(model, index)
+        kept = replace(model, provided=tuple(c for c in model.provided if c.id in relevant))
+        found = brute_force_plan(kept, build_index(kept), 3)
+        assert (found and found.bound_happenings) == expected, label
+
+
+class _SessionHere:
+    """A minimize_core session whose checks this process answers, each as
+    the one-shot script of the assertions it pushes."""
+
+    def check(self, encoding, pushed, kept=(), model=True):
+        return parse_answer(fixtures.run_inprocess(
+            emit(encoding.restricted([a.name for a in pushed]))))
+
+    def close(self):
+        pass
+
+
+def test_no_minimal_core_names_a_pruned_capability(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+
+    cases = [(f"random {seed}", fixtures.random_model(seed), 2) for seed in range(110)]
+    cases = [(label, model, bound) for label, model, bound in cases
+             if brute_force_plan(model, build_index(model), bound + 1) is None]
+    assert len(cases) == 71
+    cases += [(f"explain {seed}.{i}", parse_model(request.doc), request.max_bound)
+              for seed in range(1, 5)
+              for i, request in enumerate(workloads.generate("explain", seed).requests)]
+    config = SolverConfig(command=fixtures.REFSOLVER_CMD)
+    pruning = 0
+    for label, model, bound in cases:
+        index = build_index(model)
+        encoding = build(model, index, bound,
+                         relevant=relevant_capabilities(model, index))
+        pruning += any(a.family == "pruned" for a in encoding.assertions)
+        outcome = parse_answer(fixtures.run_inprocess(emit(encoding)))
+        assert outcome.is_unsat, label
+        core = minimize_core(encoding, outcome.core, config, _SessionHere())
+        assert core and not [n for n in core if n.startswith("pruned.")], label
+    assert pruning == PRUNED_NO_PLAN_CASES

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import fixtures
 import capplan.planner as planner
+import capplan.relax as relax
 import capplan.smtlib as smtlib
 from capplan.cli import main as cli_main
 from capplan.encoder import build
@@ -451,9 +452,10 @@ def test_minimization_transcript_is_one_session_that_replays(tmp_path, capsys):
     # of the bound before.
     model = fixtures.random_model(10)
     index = build_index(model)
+    relevant = relax.relevant_capabilities(model, index)
     expected, declared = [], set()
     for bound in range(3):
-        script = emit(build(model, index, bound)).splitlines()
+        script = emit(build(model, index, bound, relevant=relevant)).splitlines()
         assertions = next(i for i, line in enumerate(script)
                           if line.startswith("(assert "))
         lines = ["(pop 1)"] if bound else [

@@ -52,7 +52,7 @@ def test_resource_property_is_one_shared_class():
     # Both capabilities reference exactly this property id.
     model = fixtures.drive_transport_model()
     for cap in model.provided:
-        assert "AGVPosition" in cap.inputs | cap.outputs
+        assert "AGVPosition" in set(cap.inputs + cap.outputs)
 
 
 def test_syn_props_excludes_self():
