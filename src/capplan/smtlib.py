@@ -7,11 +7,13 @@ by SmtProcess, one process that exchanges one check after another (the
 planner's push/pop session).  Both start their process with start(),
 which keeps the solver's stderr, so a solver that fails is quoted the
 same way on either path; solve() may take one that start() began
-earlier, so that its start-up overlaps other work.  Every script has one
-shape, set by script_header() and assertion_line(): it asks for models
-and unsat cores and names every assertion.  Values are kept as exact
-rationals throughout, so a model can be rechecked against the oracle
-without float drift.
+earlier, so that its start-up overlaps other work.  One loop, _pipe(),
+serves both: it writes the request as the pipe takes it while it reads
+the answer, so a check's timeout also covers sending it.  Every script
+has one shape, set by script_header() and assertion_line(): it asks for
+models and unsat cores and names every assertion.  Values are kept as
+exact rationals throughout, so a model can be rechecked against the
+oracle without float drift.
 
 Values are printed with `capplan.sexp.format_value`, which the
 reference solver prints its models with, and answers are read with
@@ -278,6 +280,54 @@ def _solver_error(process: subprocess.Popen, message: str) -> SolverProtocolErro
     return SolverProtocolError(f"{message} (stderr: {excerpt!r})")
 
 
+def _pipe(process: subprocess.Popen, pending: bytearray, deadline: float,
+          wanted=None):
+    """Until the deadline, write `pending` to the solver's stdin as the pipe
+    takes it, deleting what was written, while reading its stdout.  A
+    session passes `wanted`: the loop ends at the first complete
+    S-expression that wanted(node) accepts.  One-shot, stdin is closed once
+    all is written, a solver that stops reading just gets no more, and the
+    loop ends at end of output.  Returns (text read, node, error); error is
+    None, a TimeoutError or, in a session only, a SolverProtocolError."""
+    session = wanted is not None
+    stdin, stdout = process.stdin.fileno(), process.stdout.fileno()
+    os.set_blocking(stdin, False)
+    decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
+    reader = Reader()
+    chunks: list = []
+    error = node = data = None
+    while error is None and node is None and data != b"":
+        if not (pending or session or process.stdin.closed):
+            process.stdin.close()
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            error = TimeoutError("solver response timeout")
+            continue
+        readable, writable, _ = select.select(
+            [stdout], [stdin] if pending else [], [], min(remaining, 0.5))
+        try:
+            if writable:
+                del pending[:os.write(stdin, pending)]
+        except BrokenPipeError:
+            pending.clear()
+            if session:
+                error = _solver_error(process, "solver closed its input")
+        if readable and error is None:
+            data = os.read(stdout, 65536)
+            chunks.append(decoder.decode(data, final=not data))
+            if session and not data:
+                error = _solver_error(process, "solver closed its output")
+            elif session:
+                reader.feed(chunks[-1])
+                try:
+                    node = next(filter(wanted, reader), None)
+                except SexpError as exc:
+                    error = SolverProtocolError(f"{exc} in solver output")
+        elif not (readable or writable) and session and process.poll() is not None:
+            error = _solver_error(process, "solver exited mid-response")
+    return "".join(chunks), node, error
+
+
 def solve(text: str, config: SolverConfig,
           process: Optional[subprocess.Popen] = None) -> SolveOutcome:
     """Send the script and EOF to one solver process and parse its answer.
@@ -285,19 +335,18 @@ def solve(text: str, config: SolverConfig,
     `process` is one that start(config) began earlier, so that its start-up
     overlapped other work; without it a process is started here.  Either
     way it is reaped before this returns or raises.  The timeout counts
-    from when the script is sent."""
+    from when the script is sent, and covers writing it."""
     try:
         _write_transcript(config, "request", text)
         process = process or start(config)
-        stdout, _ = process.communicate(text.encode("utf-8"),
-                                        timeout=config.timeout_seconds)
-        stdout = stdout.decode("utf-8", errors="replace")
+        deadline = time.monotonic() + config.timeout_seconds
+        stdout, _, error = _pipe(process, bytearray(text, "utf-8"), deadline)
+        if error is not None:  # one-shot, only the deadline ends the loop early
+            _write_transcript(config, "response", "; timeout")
+            return SolveOutcome(status="unknown", reason=TIMEOUT)
         _write_transcript(config, "response", stdout)
         if not stdout.strip():
             raise _solver_error(process, "solver produced no output")
-    except subprocess.TimeoutExpired:
-        _write_transcript(config, "response", "; timeout")
-        return SolveOutcome(status="unknown", reason=TIMEOUT)
     finally:
         if process is not None:
             reap(process)
@@ -312,6 +361,7 @@ class SmtProcess:
         self.config = config
         self._last_logged = None
         self._deadline = None  # end of the current exchange, if any
+        self._pending = bytearray()  # sent, not yet written to the solver
         self.proc = start(config)
 
     def _log(self, kind: str, text: str) -> None:
@@ -319,43 +369,17 @@ class SmtProcess:
         self._last_logged = kind
 
     def send(self, text: str) -> None:
+        """Queue `text` for the solver; _read_until() writes it."""
         self._log("request", text)
-        try:
-            self.proc.stdin.write(text.encode("utf-8"))
-            self.proc.stdin.flush()
-        except BrokenPipeError as exc:
-            raise _solver_error(self.proc, "solver closed its input") from exc
+        self._pending += text.encode("utf-8")
 
     def _read_until(self, wanted=lambda node: True):
-        """Read stdout until a complete S-expression for which
-        `wanted(node)` holds has arrived, and return it; raise when the
-        timeout passes first.  Each chunk is fed to one Reader as it
-        arrives.  What was read goes to the transcript, with the error if
-        any."""
+        """Write what send() queued, and return the first complete
+        S-expression read for which `wanted(node)` holds; raise when the
+        timeout passes first.  What was read goes to the transcript, with
+        the error if any."""
         deadline = self._deadline or time.monotonic() + self.config.timeout_seconds
-        chunks: list = []
-        decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
-        reader = Reader()
-        stream = self.proc.stdout
-        error = node = None
-        while error is None and node is None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                error = TimeoutError("solver response timeout")
-            elif not select.select([stream], [], [], min(remaining, 0.5))[0]:
-                if self.proc.poll() is not None:
-                    error = _solver_error(self.proc, "solver exited mid-response")
-            else:
-                data = stream.read1(65536)
-                if not data:
-                    error = _solver_error(self.proc, "solver closed its output")
-                chunks.append(decoder.decode(data))
-                reader.feed(chunks[-1])
-                try:
-                    node = next(filter(wanted, reader), None)
-                except SexpError as exc:
-                    error = SolverProtocolError(f"{exc} in solver output")
-        buffer = "".join(chunks)
+        buffer, node, error = _pipe(self.proc, self._pending, deadline, wanted)
         if error is not None:
             self._log("response", f"{buffer.rstrip()}\n; {error}".lstrip())
             raise error

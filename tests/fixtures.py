@@ -65,6 +65,24 @@ def faulty_refsolver(counter, fault: str, at: int) -> list:
     return [sys.executable, "-c", FAULTY_REFSOLVER, str(counter), fault, str(at)]
 
 
+# Two solvers that would block a writer that does not read meanwhile, once
+# a check is larger than a pipe holds (64 KiB on Linux): one never reads
+# its input, and one writes 320 KB of `(error "noise")` lines before it
+# reads, then answers `unsat` and an empty core.  Each ends itself after
+# 20 s, so a client that blocks on them fails instead of hanging.
+NEVER_READS_CMD = [sys.executable, "-c", "import time; time.sleep(20)"]
+FLOODS_BEFORE_READING_CMD = [sys.executable, "-c", """
+import signal, sys
+signal.alarm(20)
+sys.stdout.write('(error "noise")\\n' * 20000)
+sys.stdout.flush()
+for line in sys.stdin:
+    answer = {"(check-sat)": "unsat", "(get-unsat-core)": "()"}.get(line.strip())
+    if answer:
+        print(answer, flush=True)
+"""]
+
+
 def _actual(value):
     return {"expressionGoal": "actualValue", "relation": "eq", "value": str(value)}
 
@@ -311,6 +329,17 @@ def transport_distinct_problem() -> dict:
             }
         ],
     }
+
+
+def crowded_transport_model(copies=40):
+    """The transport scenario with `copies` identical Transport
+    capabilities.  Each writes the goal class, so relevance keeps them all,
+    and their pairwise mutexes make bound 0's script 94 KB: larger than a
+    pipe holds."""
+    domain = transport_domain()
+    transport = domain["capabilities"][0]
+    domain["capabilities"] = [dict(transport, id=f"Transport{i}") for i in range(copies)]
+    return parse_model(merge_documents(domain, transport_problem()))
 
 
 def drive_transport_domain(product_at=3, agv_at=5) -> dict:

@@ -705,6 +705,13 @@ ORPHAN_CASES = {
     "garbage-status-below-max": (lambda tmp: [sys.executable, "-c", EXITING_SOLVER.format(
         answers={"(check-sat)": "flubber\n"})], fixtures.parked_agv_model, 1,
         SolverProtocolError, (1, 2)),
+    # Bound 0's check is larger than a pipe holds, so the solver's not
+    # reading, or its writing first, would block a writer that does not
+    # read meanwhile.
+    "never-reads": (lambda tmp: fixtures.NEVER_READS_CMD, fixtures.crowded_transport_model,
+                    0, NoPlanFound, (1, 1)),
+    "floods-before-reading": (lambda tmp: fixtures.FLOODS_BEFORE_READING_CMD,
+                              fixtures.crowded_transport_model, 1, NoPlanFound, (1, 2)),
     "launch-error": (lambda tmp: ["/nonexistent/solver"], fixtures.transport_model, 1,
                      SolverLaunchError, (0, 0)),
     "not-a-program": (lambda tmp: [_not_a_program(tmp)], fixtures.transport_model, 1,
@@ -723,7 +730,7 @@ ORPHAN_RUNS = [
 def _orphan_run(case, minimize, tmp_path):
     """Run plan() on the case and check what it returns or raises."""
     command, model, max_happenings, expected, _ = ORPHAN_CASES[case]
-    timeout = 0.5 if case == "timeout" else 60.0
+    timeout = 0.5 if case in ("timeout", "never-reads") else 60.0
     config = _config(minimize=minimize, solver=SolverConfig(
         command=command(tmp_path), timeout_seconds=timeout))
     if issubclass(expected, Exception):

@@ -244,6 +244,43 @@ def test_timeout_maps_to_unknown():
     assert outcome.reason == "timeout"
 
 
+# 216 KB of declarations: more than a pipe holds, so writing the check
+# blocks until the solver reads.
+LARGE_CHECK = "".join(f"(declare-const x{i} Real)\n" for i in range(8000))
+
+
+def _large_check(command, timeout, session):
+    """The outcome of LARGE_CHECK, through an SmtProcess exchange or one
+    solve() script, its wall time, and whether the session's process
+    was closed."""
+    config = _config(command=command, timeout_seconds=timeout)
+    started = time.monotonic()
+    if not session:
+        outcome = solve(LARGE_CHECK + "(check-sat)\n(get-unsat-core)\n", config)
+        return outcome, time.monotonic() - started, True
+    process = SmtProcess(config)
+    try:
+        outcome = process.exchange(LARGE_CHECK)
+        return outcome, time.monotonic() - started, process.closed
+    finally:
+        process.close()
+
+
+@pytest.mark.parametrize("session", (True, False), ids=("session", "oneshot"))
+def test_a_large_check_to_a_solver_that_never_reads_times_out(session):
+    outcome, elapsed, closed = _large_check(fixtures.NEVER_READS_CMD, 1.0, session)
+    assert (outcome.status, outcome.reason) == ("unknown", "timeout")
+    assert elapsed < 1.0 + 1
+    assert closed
+
+
+@pytest.mark.parametrize("session", (True, False), ids=("session", "oneshot"))
+def test_a_large_check_to_a_solver_that_floods_before_reading_is_answered(session):
+    outcome, elapsed, _ = _large_check(fixtures.FLOODS_BEFORE_READING_CMD, 3.0, session)
+    assert (outcome.status, outcome.core) == ("unsat", [])
+    assert elapsed < 3.0
+
+
 def test_solver_exit_is_a_protocol_error():
     process = SmtProcess(_config(command=[sys.executable, "-c", "pass"]))
     process.proc.wait()
